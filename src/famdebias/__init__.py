@@ -7,64 +7,38 @@ offline experiment harness to measure what the correction does to watch-time
 and exposure-diversity metrics.
 """
 
-from .bucketizer import AdjustmentTable, BucketEdges, assign_cell, fit_edges, fit_table, lookup
-from .core import (
-    FamiliarityVector,
-    FeatureSchema,
-    Interaction,
-    InteractionLog,
-    PopularityTable,
-    compute_popularity,
-    read_jsonl,
-    validate_log,
-    write_jsonl,
-)
-from .debias import (
-    CombinerWeights,
-    DebiasConfig,
-    SlateCandidate,
-    debias_score,
-    debias_slate,
-    rank_score,
-    residual_correlation,
-)
-from .estimator import RegressorModel, TrainConfig, forward, gradient_check, mse_loss, train
-from .simulator import InflationSpec, SessionConfig, SessionState, Universe, run_experiment
+from .bucketizer import AdjustmentTable, BucketEdges, fit_edges, fit_table, lookup_many
+from .core import FeatureSchema, InteractionLog, read_jsonl, validate_log, write_jsonl
+from .debias import DebiasConfig, debias_log, debias_scores, residual_correlation
+from .estimator import RegressorModel, TrainConfig, forward, gradient_check, mse_loss, train_xy
+from .simulator import InflationSpec, SessionConfig, SessionState, Universe, run_arm
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdjustmentTable",
     "BucketEdges",
-    "CombinerWeights",
     "DebiasConfig",
-    "FamiliarityVector",
     "FeatureSchema",
     "InflationSpec",
-    "Interaction",
     "InteractionLog",
-    "PopularityTable",
     "RegressorModel",
     "SessionConfig",
     "SessionState",
-    "SlateCandidate",
     "TrainConfig",
     "Universe",
-    "assign_cell",
-    "compute_popularity",
-    "debias_score",
-    "debias_slate",
+    "debias_log",
+    "debias_scores",
     "fit_edges",
     "fit_table",
     "forward",
     "gradient_check",
-    "lookup",
+    "lookup_many",
     "mse_loss",
-    "rank_score",
     "read_jsonl",
     "residual_correlation",
-    "run_experiment",
-    "train",
+    "run_arm",
+    "train_xy",
     "validate_log",
     "write_jsonl",
 ]

@@ -9,7 +9,7 @@ global mean so every finite familiarity vector maps to a positive factor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +79,7 @@ class BucketEdges:
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema.to_dict(),
+            "schema": asdict(self.schema),
             "cuts": [c.tolist() for c in self.cuts],
             "nominal_k": self.nominal_k,
             "constant_features": list(self.constant_features),
@@ -109,12 +109,6 @@ def fit_edges(log: InteractionLog, schema: FeatureSchema, k: int = 5) -> BucketE
     return BucketEdges(
         schema=schema, cuts=cuts, nominal_k=k, constant_features=tuple(constant)
     )
-
-
-def assign_cell(b, edges: BucketEdges) -> tuple[int, ...]:
-    """Multi-index of the bucket cell holding one familiarity vector."""
-    arr = b.as_array() if hasattr(b, "as_array") else np.asarray(b, dtype=np.float64)
-    return tuple(int(x) for x in edges.assign_many(arr.reshape(1, -1))[0])
 
 
 @dataclass
@@ -303,10 +297,6 @@ def lookup_many(
     """
     edges = edges if edges is not None else table.edges
     mcc = table.min_cell_count if min_cell_count is None else min_cell_count
-    features = np.asarray(features, dtype=np.float64)
-    single = features.ndim == 1
-    if single:
-        features = features.reshape(1, -1)
     cell_idx = edges.assign_many(features)
     codes = np.ravel_multi_index(cell_idx.T, table.dims)
     result = table.factors[codes]
@@ -327,15 +317,5 @@ def lookup_many(
         backoff = np.where(all_pop, np.exp(log_sum / n_feat), table.global_mean)
         result = result.copy()
         result[need] = backoff
-    return result[0] if single else result
+    return result
 
-
-def lookup(
-    table: AdjustmentTable,
-    b,
-    edges: BucketEdges | None = None,
-    min_cell_count: int | None = None,
-) -> float:
-    """Scalar adjustment factor for one familiarity vector."""
-    arr = b.as_array() if hasattr(b, "as_array") else np.asarray(b, dtype=np.float64)
-    return float(lookup_many(table, arr, edges=edges, min_cell_count=min_cell_count))

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .bucketizer import AdjustmentTable
-from .core import FamiliarityVector, FeatureSchema
-from .debias import CombinerWeights, DebiasConfig, SlateCandidate, debias_slate
+from .core import FeatureSchema
+from .debias import DebiasConfig, debias_scores, factor_source
 from .estimator import (
     RegressorModel,
     TrainConfig,
@@ -33,10 +33,10 @@ from .harness import (
     fit_artifacts,
     make_policies,
     read_arm_outputs,
+    run_arms,
     run_pipeline,
     write_arm_outputs,
 )
-from .simulator import run_arm
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -77,13 +77,9 @@ def _cmd_simulate(args) -> int:
     )
     cfg.schema.save(outdir / "schema.json")
     policies = make_policies(cfg, table=table, model=model, arm_names=arm_names)
-    for name in arm_names:
-        result = run_arm(
-            universe, policies[name], cfg.inflation, cfg.session,
-            cfg.experiment_seed, name=name,
-        )
+    for result in run_arms(cfg, universe, policies):
         write_arm_outputs(result, cfg.schema, outdir)
-        print(f"wrote {name}: {len(result.log)} interactions")
+        print(f"wrote {result.name}: {len(result.log)} interactions")
     return EXIT_OK
 
 
@@ -129,48 +125,37 @@ def _cmd_debias(args) -> int:
     schema = _resolve_schema(args, table, model)
     config = DebiasConfig(mode=args.mode, strength=args.strength)
 
-    candidates = []
     with open(args.infile) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            fam = obj["familiarity"]
-            candidates.append(
-                SlateCandidate(
-                    item_id=obj["item_id"],
-                    creator_id=obj.get("creator_id", ""),
-                    urps=float(obj["urps"]),
-                    familiarity=FamiliarityVector(
-                        tuple(float(fam[n]) for n in schema.names)
-                    ),
-                    quality_signals={
-                        k: float(v) for k, v in obj.get("quality_signals", {}).items()
-                    },
-                )
-            )
-    ranked = debias_slate(candidates, artifact, config, CombinerWeights())
+        rows = [json.loads(line) for line in fh if line.strip()]
+    feats = np.asarray(
+        [[float(row["familiarity"][n]) for n in schema.names] for row in rows],
+        dtype=np.float64,
+    ).reshape(len(rows), schema.arity)
+    urps = np.asarray([float(row["urps"]) for row in rows], dtype=np.float64)
+    factors_of, ref_mean = factor_source(artifact)
+    debiased = debias_scores(urps, factors_of(feats), config, ref_mean)
+    # descending corrected score, ties broken by the string form of the item id
+    order = np.lexsort((np.asarray([str(row["item_id"]) for row in rows]), -debiased))
     with open(args.outfile, "w") as fh:
-        for cand in ranked:
+        for i in order.tolist():
+            row, score = rows[i], float(debiased[i])
+            signals = row.get("quality_signals", {})
             fh.write(
                 json.dumps(
                     {
-                        "item_id": cand.item_id,
-                        "creator_id": cand.creator_id,
-                        "urps": cand.urps,
-                        "familiarity": dict(
-                            zip(schema.names, cand.familiarity.values)
-                        ),
-                        "quality_signals": cand.quality_signals,
-                        "debiased_score": cand.debiased_score,
-                        "final_score": cand.final_score,
+                        "item_id": row["item_id"],
+                        "creator_id": row.get("creator_id", ""),
+                        "urps": float(urps[i]),
+                        "familiarity": dict(zip(schema.names, feats[i].tolist())),
+                        "quality_signals": {k: float(v) for k, v in signals.items()},
+                        "debiased_score": score,
+                        "final_score": score,
                     },
                     separators=(",", ":"),
                 )
                 + "\n"
             )
-    print(f"ranked {len(ranked)} candidates -> {args.outfile}")
+    print(f"ranked {len(rows)} candidates -> {args.outfile}")
     return EXIT_OK
 
 

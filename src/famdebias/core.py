@@ -1,20 +1,17 @@
-"""Domain data model, log validation, and global statistics.
+"""Domain data model, log validation, and JSON Lines i/o.
 
 Everything downstream (bucketing, regression, correction, metrics) consumes
-the types defined here. Records are immutable after construction; the
-columnar ``InteractionLog`` is the bulk representation used for fitting and
-evaluation, with lossless conversion to and from per-record ``Interaction``
-objects and JSON Lines files.
+the types defined here. The columnar ``InteractionLog`` is the one
+representation used for fitting and evaluation, with lossless conversion to
+and from JSON Lines files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -70,18 +67,8 @@ class FeatureSchema:
 
     def digest(self) -> str:
         """Stable hash binding fitted artifacts to the schema they were fit on."""
-        payload = json.dumps(
-            {"names": self.names, "kinds": self.kinds, "monotonicity": self.monotonicity},
-            sort_keys=True,
-        )
+        payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "kinds": list(self.kinds),
-            "monotonicity": list(self.monotonicity),
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSchema":
@@ -92,110 +79,11 @@ class FeatureSchema:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureSchema":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-@dataclass(frozen=True, slots=True)
-class FamiliarityVector:
-    """Ordered feature values for one (user, item) pair, aligned to a schema."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    @property
-    def arity(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-
-@dataclass(frozen=True, slots=True)
-class Interaction:
-    """One logged user-item event: the unit of all fitting and evaluation."""
-
-    user_id: int | str
-    item_id: int | str
-    creator_id: int | str
-    timestamp: float
-    watch_time: float
-    urps: float
-    familiarity: FamiliarityVector
-
-
-@dataclass
-class PopularityTable:
-    """Cumulative per-item and per-creator exposure counts."""
-
-    item_counts: dict = field(default_factory=dict)
-    creator_counts: dict = field(default_factory=dict)
-
-    def item_count(self, item_id) -> int:
-        return self.item_counts.get(item_id, 0)
-
-    def creator_count(self, creator_id) -> int:
-        return self.creator_counts.get(creator_id, 0)
-
-    def total(self) -> int:
-        return sum(self.item_counts.values())
-
-
-def _check_record(rec: Interaction, arity: int) -> str | None:
-    if not (isinstance(rec.urps, (int, float)) and math.isfinite(rec.urps)):
-        return f"non-finite URPS {rec.urps!r}"
-    if rec.urps <= 0:
-        return f"non-positive URPS {rec.urps!r}"
-    if not math.isfinite(rec.timestamp) or rec.timestamp <= 0:
-        return f"non-positive timestamp {rec.timestamp!r}"
-    if not math.isfinite(rec.watch_time) or rec.watch_time < 0:
-        return f"negative watch_time {rec.watch_time!r}"
-    if rec.familiarity.arity != arity:
-        return f"familiarity arity {rec.familiarity.arity} != schema arity {arity}"
-    for name_idx, v in enumerate(rec.familiarity.values):
-        if not math.isfinite(v):
-            return f"non-finite feature value at position {name_idx}"
-    return None
-
-
-def validate_log(
-    interactions: Sequence[Interaction], schema: FeatureSchema
-) -> list[tuple[int, str]]:
-    """Check every record against the type invariants.
-
-    Returns a list of ``(record index, violation)`` pairs, empty when the log
-    is valid. Records are never dropped; errors are reported in record order.
-    """
-    errors: list[tuple[int, str]] = []
-    for i, rec in enumerate(interactions):
-        msg = _check_record(rec, schema.arity)
-        if msg is not None:
-            errors.append((i, msg))
-    return errors
-
-
-def require_valid(
-    interactions: Sequence[Interaction], schema: FeatureSchema
-) -> Sequence[Interaction]:
-    """Return the log unchanged, raising ``LogValidationError`` on any violation."""
-    errors = validate_log(interactions, schema)
-    if errors:
-        raise LogValidationError(errors)
-    return interactions
-
-
-def compute_popularity(interactions: Iterable[Interaction]) -> PopularityTable:
-    """Count interactions per item and per creator (creator = sum over its items)."""
-    table = PopularityTable()
-    for rec in interactions:
-        table.item_counts[rec.item_id] = table.item_counts.get(rec.item_id, 0) + 1
-        table.creator_counts[rec.creator_id] = table.creator_counts.get(rec.creator_id, 0) + 1
-    return table
 
 
 class InteractionLog:
@@ -267,68 +155,34 @@ class InteractionLog:
             inflation=None if self.inflation is None else self.inflation[sel],
         )
 
-    @classmethod
-    def from_interactions(
-        cls, interactions: Sequence[Interaction], schema: FeatureSchema
-    ) -> "InteractionLog":
-        n = len(interactions)
-        features = np.zeros((n, schema.arity))
-        for i, rec in enumerate(interactions):
-            features[i, :] = rec.familiarity.values
-        return cls(
-            schema=schema,
-            users=np.asarray([r.user_id for r in interactions]),
-            items=np.asarray([r.item_id for r in interactions]),
-            creators=np.asarray([r.creator_id for r in interactions]),
-            timestamps=np.asarray([r.timestamp for r in interactions], dtype=np.float64),
-            watch_times=np.asarray([r.watch_time for r in interactions], dtype=np.float64),
-            urps=np.asarray([r.urps for r in interactions], dtype=np.float64),
-            features=features,
-        )
 
-    def to_interactions(self) -> list[Interaction]:
-        out = []
-        for i in range(len(self)):
-            out.append(
-                Interaction(
-                    user_id=self.users[i].item() if hasattr(self.users[i], "item") else self.users[i],
-                    item_id=self.items[i].item() if hasattr(self.items[i], "item") else self.items[i],
-                    creator_id=self.creators[i].item() if hasattr(self.creators[i], "item") else self.creators[i],
-                    timestamp=float(self.timestamps[i]),
-                    watch_time=float(self.watch_times[i]),
-                    urps=float(self.urps[i]),
-                    familiarity=FamiliarityVector(tuple(self.features[i])),
-                )
-            )
-        return out
+def validate_log(log: InteractionLog) -> InteractionLog:
+    """Return the log unchanged, raising ``LogValidationError`` on any bad row.
 
-
-def interaction_to_json(rec: Interaction, schema: FeatureSchema) -> dict:
-    return {
-        "user_id": rec.user_id,
-        "item_id": rec.item_id,
-        "creator_id": rec.creator_id,
-        "timestamp": rec.timestamp,
-        "watch_time": rec.watch_time,
-        "urps": rec.urps,
-        "familiarity": dict(zip(schema.names, rec.familiarity.values)),
-    }
-
-
-def interaction_from_json(obj: dict, schema: FeatureSchema) -> Interaction:
-    fam = obj["familiarity"]
-    missing = [n for n in schema.names if n not in fam]
-    if missing:
-        raise KeyError(f"familiarity missing feature(s) {missing}")
-    return Interaction(
-        user_id=obj["user_id"],
-        item_id=obj["item_id"],
-        creator_id=obj["creator_id"],
-        timestamp=float(obj["timestamp"]),
-        watch_time=float(obj["watch_time"]),
-        urps=float(obj["urps"]),
-        familiarity=FamiliarityVector(tuple(float(fam[n]) for n in schema.names)),
+    Each bad row is reported once, with its first violation, as a
+    ``(row index, message)`` pair in row order; rows are never dropped.
+    """
+    finite_features = np.isfinite(log.features)
+    checks = (
+        (~np.isfinite(log.urps), "non-finite URPS {!r}", log.urps),
+        (log.urps <= 0, "non-positive URPS {!r}", log.urps),
+        (~(np.isfinite(log.timestamps) & (log.timestamps > 0)),
+         "non-positive timestamp {!r}", log.timestamps),
+        (~(np.isfinite(log.watch_times) & (log.watch_times >= 0)),
+         "negative watch_time {!r}", log.watch_times),
+        (~finite_features.all(axis=1), "non-finite feature value at position {}",
+         np.argmax(~finite_features, axis=1)),
     )
+    first = np.full(len(log), len(checks))
+    for k in reversed(range(len(checks))):
+        first[checks[k][0]] = k
+    errors = []
+    for i in np.flatnonzero(first < len(checks)).tolist():
+        _, message, column = checks[first[i]]
+        errors.append((i, message.format(column[i].item())))
+    if errors:
+        raise LogValidationError(errors)
+    return log
 
 
 def write_jsonl(log: InteractionLog, path: str | Path) -> None:
@@ -380,7 +234,7 @@ def read_jsonl(path: str | Path, schema: FeatureSchema) -> InteractionLog:
                 inflation.append(float(obj["inflation"]))
     n = len(urps)
     has_oracle = len(quality) == n and len(inflation) == n and n > 0
-    return InteractionLog(
+    return validate_log(InteractionLog(
         schema=schema,
         users=np.asarray(users),
         items=np.asarray(items),
@@ -391,4 +245,4 @@ def read_jsonl(path: str | Path, schema: FeatureSchema) -> InteractionLog:
         features=np.asarray(feats, dtype=np.float64).reshape(n, schema.arity),
         true_quality=np.asarray(quality) if has_oracle else None,
         inflation=np.asarray(inflation) if has_oracle else None,
-    )
+    ))

@@ -1,20 +1,19 @@
 """Core score correction.
 
 Divides each score by its estimated conditional mean (from the discrete
-adjustment table or the continuous regressor), recombines with other quality
-signals through a weighted geometric combiner, and reports the before/after
+adjustment table or the continuous regressor) and reports the before/after
 feature-score correlations the correction is supposed to remove.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .bucketizer import AdjustmentTable, lookup_many
-from .core import FamiliarityVector, InteractionLog
+from .core import InteractionLog
 from .estimator import RegressorModel, forward
 
 MODES = ("discrete", "continuous")
@@ -58,25 +57,13 @@ def factor_source(artifact) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     raise TypeError(f"unsupported adjustment source {type(artifact).__name__}")
 
 
-def debias_score(
-    s: float, adj: float, config: DebiasConfig, reference_mean: float = 1.0
-) -> float:
-    """Corrected score s / max(adj**strength, floor); strictly positive."""
-    if s <= 0:
-        raise ValueError(f"score must be positive, got {s}")
-    if adj <= 0:
-        raise ValueError(f"adjustment factor must be positive, got {adj}")
-    eps = config.effective_floor(reference_mean)
-    return s / max(adj**config.strength, eps)
-
-
 def debias_scores(
     scores: np.ndarray,
     factors: np.ndarray,
     config: DebiasConfig,
     reference_mean: float = 1.0,
 ) -> np.ndarray:
-    """Vectorized counterpart of ``debias_score``."""
+    """Corrected scores s / max(adj**strength, floor); strictly positive."""
     scores = np.asarray(scores, dtype=np.float64)
     factors = np.asarray(factors, dtype=np.float64)
     if np.any(scores <= 0):
@@ -94,75 +81,6 @@ def debias_log(
     factors_of, ref_mean = factor_source(artifact)
     factors = factors_of(log.features)
     return debias_scores(log.urps, factors, config, ref_mean), factors
-
-
-@dataclass(frozen=True)
-class CombinerWeights:
-    """Exponents of the weighted geometric ranking combiner."""
-
-    score_weight: float = 1.0
-    signal_weights: dict = field(default_factory=dict)
-
-
-@dataclass
-class SlateCandidate:
-    """One scored item entering final ranking."""
-
-    item_id: int | str
-    creator_id: int | str
-    urps: float
-    familiarity: FamiliarityVector
-    quality_signals: dict = field(default_factory=dict)
-    debiased_score: float | None = None
-    final_score: float | None = None
-
-
-def rank_score(candidate: SlateCandidate, weights: CombinerWeights = CombinerWeights()) -> float:
-    """Weighted geometric combination of the corrected score and quality signals.
-
-    exp(w0 * ln(debiased) + sum_j w_j * ln(X_j)); reduces to the debiased
-    score itself when w0 = 1 and no signal carries weight.
-    """
-    if candidate.debiased_score is None or candidate.debiased_score <= 0:
-        raise ValueError("candidate has no positive debiased score")
-    if not weights.signal_weights and weights.score_weight == 1.0:
-        return float(candidate.debiased_score)
-    log_score = weights.score_weight * np.log(candidate.debiased_score)
-    for name, w in weights.signal_weights.items():
-        x = candidate.quality_signals.get(name)
-        if x is None:
-            raise KeyError(f"candidate missing quality signal {name!r}")
-        if x <= 0:
-            raise ValueError(f"quality signal {name!r} must be positive, got {x}")
-        log_score += w * np.log(x)
-    return float(np.exp(log_score))
-
-
-def debias_slate(
-    candidates: Sequence[SlateCandidate],
-    artifact,
-    config: DebiasConfig,
-    weights: CombinerWeights = CombinerWeights(),
-) -> list[SlateCandidate]:
-    """Populate debiased and final scores, then order the slate.
-
-    Output is sorted by descending final score with ties broken by item id
-    (lexicographic on the string form), so slates are reproducible.
-    """
-    if not candidates:
-        return []
-    factors_of, ref_mean = factor_source(artifact)
-    feats = np.stack([c.familiarity.as_array() for c in candidates])
-    factors = factors_of(feats)
-    scores = np.asarray([c.urps for c in candidates], dtype=np.float64)
-    debiased = debias_scores(scores, factors, config, ref_mean)
-    out = []
-    for cand, sdb in zip(candidates, debiased):
-        cand = replace(cand, debiased_score=float(sdb))
-        cand.final_score = rank_score(cand, weights)
-        out.append(cand)
-    out.sort(key=lambda c: (-c.final_score, str(c.item_id)))
-    return out
 
 
 @dataclass

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import FeatureSchema, InteractionLog
+from .core import FeatureSchema
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -64,19 +64,6 @@ class TrainConfig:
         if not (0 < self.validation_fraction <= 0.5):
             raise ValueError("validation fraction must be in (0, 0.5]")
 
-    def to_dict(self) -> dict:
-        return {
-            "hidden_sizes": list(self.hidden_sizes),
-            "activation": self.activation,
-            "learning_rate": self.learning_rate,
-            "lr_decay": self.lr_decay,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "validation_fraction": self.validation_fraction,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         return cls(
@@ -113,20 +100,12 @@ class Normalizer:
     def apply(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
         single = features.ndim == 1
-        x = features.reshape(1, -1) if single else features.copy()
-        if single:
-            x = x.copy()
+        x = np.atleast_2d(features).copy()
         if x.shape[1] != self.mean.size:
             raise ValueError(f"feature arity {x.shape[1]} != normalizer arity {self.mean.size}")
         x[:, self.log1p_mask] = np.log1p(x[:, self.log1p_mask])
         x = (x - self.mean) / self.std
         return x[0] if single else x
-
-
-def normalize(b, normalizer: Normalizer) -> np.ndarray:
-    """Normalized input vector for one familiarity vector."""
-    arr = b.as_array() if hasattr(b, "as_array") else np.asarray(b, dtype=np.float64)
-    return normalizer.apply(arr)
 
 
 class RegressorModel:
@@ -254,9 +233,9 @@ def _forward_pass(
     return h[:, 0], pre, post
 
 
-def forward(model: RegressorModel, b) -> float | np.ndarray:
+def forward(model: RegressorModel, features: np.ndarray) -> float | np.ndarray:
     """Predicted conditional mean score; strictly positive, deterministic."""
-    arr = b.as_array() if hasattr(b, "as_array") else np.asarray(b, dtype=np.float64)
+    arr = np.asarray(features, dtype=np.float64)
     single = arr.ndim == 1
     x = model.normalizer.apply(arr.reshape(1, -1) if single else arr)
     out, _, _ = _forward_pass(model, x)
@@ -273,6 +252,26 @@ def mse_loss(model: RegressorModel, features: np.ndarray, targets: np.ndarray) -
     return float(np.mean((pred - targets) ** 2))
 
 
+def _gradients(
+    model: RegressorModel, x: np.ndarray, targets: np.ndarray
+) -> list[np.ndarray]:
+    """Exact MSE gradients over already-normalized inputs, in parameter order."""
+    out, pre, post = _forward_pass(model, x)
+    # dL/d(head) for L = mean((scale * head - y)^2)
+    scale = model.output_scale
+    delta = (2.0 * scale / targets.size) * (out * scale - targets)[:, None]
+    grads: list[np.ndarray] = []
+    for layer in range(len(model.weights) - 1, -1, -1):
+        act_deriv = _ACTIVATIONS[model.activations[layer]][1](pre[layer])
+        dz = delta * act_deriv
+        grads.append(dz.sum(axis=0))
+        grads.append(post[layer].T @ dz)
+        if layer > 0:
+            delta = dz @ model.weights[layer].T
+    grads.reverse()
+    return grads
+
+
 def backward(
     model: RegressorModel, features: np.ndarray, targets: np.ndarray
 ) -> list[np.ndarray]:
@@ -285,25 +284,7 @@ def backward(
     if targets.size == 0:
         raise ValueError("batch must be non-empty")
     x = model.normalizer.apply(np.asarray(features, dtype=np.float64))
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    out, pre, post = _forward_pass(model, x)
-    n = targets.size
-    # dL/d(head) for L = mean((scale * head - y)^2)
-    scale = model.output_scale
-    delta = (2.0 * scale / n) * (out * scale - targets)[:, None]
-    grads: list[np.ndarray] = []
-    for layer in range(len(model.weights) - 1, -1, -1):
-        act_deriv = _ACTIVATIONS[model.activations[layer]][1](pre[layer])
-        dz = delta * act_deriv
-        gw = post[layer].T @ dz
-        gb = dz.sum(axis=0)
-        grads.append(gb)
-        grads.append(gw)
-        if layer > 0:
-            delta = dz @ model.weights[layer].T
-    grads.reverse()
-    return grads
+    return _gradients(model, np.atleast_2d(x), targets)
 
 
 def _init_model(
@@ -385,21 +366,9 @@ def train_xy(
     for epoch in range(config.max_epochs):
         lr = config.learning_rate * config.lr_decay**epoch
         order = rng.permutation(n_train)
-        scale = model.output_scale
         for start in range(0, n_train, config.batch_size):
             idx = order[start : start + config.batch_size]
-            xb, yb = xt[idx], yt[idx]
-            out, pre, post = _forward_pass(model, xb)
-            delta = (2.0 * scale / yb.size) * (out * scale - yb)[:, None]
-            grads: list[np.ndarray] = []
-            for layer in range(len(model.weights) - 1, -1, -1):
-                act_deriv = _ACTIVATIONS[model.activations[layer]][1](pre[layer])
-                dz = delta * act_deriv
-                grads.append(dz.sum(axis=0))
-                grads.append(post[layer].T @ dz)
-                if layer > 0:
-                    delta = dz @ model.weights[layer].T
-            grads.reverse()
+            grads = _gradients(model, xt[idx], yt[idx])
             step += 1
             lr_t = lr * np.sqrt(1 - beta2**step) / (1 - beta1**step)
             for p, g, m_buf, v_buf in zip(params, grads, adam_m, adam_v):
@@ -430,17 +399,10 @@ def train_xy(
         "best_val_mse": best_val,
         "final_train_mse": history[-1]["train_mse"] if history else None,
         "target_mean": float(np.mean(y)),
-        "config": config.to_dict(),
+        "config": asdict(config),
         "history": history,
     }
     return model
-
-
-def train(
-    log: InteractionLog, schema: FeatureSchema, config: TrainConfig = TrainConfig()
-) -> RegressorModel:
-    """Fit the regressor to predict the score from the familiarity features."""
-    return train_xy(log.features, log.urps, schema, config)
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """End-to-end pipeline: simulate, fit, run arms paired, evaluate, report.
 
 Every stage is a pure function of the experiment config (all seeds explicit),
-so two runs of the same config produce byte-identical report bundles. Stage
-failures abort with the stage name; partial outputs are retained under a
-``failed/`` directory inside the output directory.
+so two runs of the same config produce byte-identical report bundles. Config
+errors are raised before any stage runs. Stage failures abort with the stage
+name; the partial outputs the run created are retained under a ``failed/``
+directory inside the output directory.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import shutil
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -22,8 +24,9 @@ from .core import FeatureSchema, InteractionLog, read_jsonl, write_jsonl
 from .debias import DebiasConfig, debias_log, residual_correlation
 from .estimator import RegressorModel, TrainConfig, train_xy
 from .metrics import MetricsReport, experiment_report
-from .policies import build_policy
+from .policies import POLICY_NAMES, build_policy
 from .simulator import (
+    FEATURE_CATALOG,
     ArmResult,
     InflationSpec,
     SessionConfig,
@@ -84,9 +87,8 @@ class ExperimentConfig:
             raise ConfigError("arm names must be unique and non-empty")
         if not any(a.get("policy") == "control" for a in arms):
             raise ConfigError("config needs a control arm")
-        known = {"control", "debias", "log_pop", "static_boost", "user_centric", "item_centric"}
         for arm in arms:
-            if arm.get("policy") not in known:
+            if arm.get("policy") not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy {arm.get('policy')!r} in arm {arm.get('name')!r}")
         debias_raw = dict(raw.get("debias", {}))
         debias_cfg = DebiasConfig(
@@ -116,6 +118,7 @@ class ExperimentConfig:
             "calibration_buckets": 5,
         }
         metric_defaults.update(metric_cfg)
+        _check_feature_names(inflation, arms, metric_defaults)
         return cls(
             universe=universe,
             inflation=inflation,
@@ -145,8 +148,8 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {
             "universe": self.universe,
-            "inflation": self.inflation.to_dict(),
-            "session": self.session.to_dict(),
+            "inflation": asdict(self.inflation),
+            "session": asdict(self.session),
             "experiment_seed": self.experiment_seed,
             "arms": self.arms,
             "bucketizer": {
@@ -160,7 +163,7 @@ class ExperimentConfig:
                 "min_cell_count": self.bucketizer["min_cell_count"],
             },
             "train": {
-                **self.train.to_dict(),
+                **asdict(self.train),
                 "max_samples": self.train_max_samples,
                 "subsample_seed": self.train_subsample_seed,
             },
@@ -172,6 +175,27 @@ class ExperimentConfig:
             "metrics": self.metric_cfg,
             "write_logs": self.write_logs,
         }
+
+
+def _check_feature_names(inflation: InflationSpec, arms: list[dict], metric_cfg: dict) -> None:
+    """Reject feature names the simulator or the schema cannot resolve."""
+    unknown = [f.name for f in inflation.features if f.name not in FEATURE_CATALOG]
+    if unknown:
+        raise ConfigError(
+            f"inflation feature(s) {unknown} not in the simulator catalog {list(FEATURE_CATALOG)}"
+        )
+    names = inflation.schema().names
+    named = [
+        (f"metrics.{key}", metric_cfg[key])
+        for key in ("calibration_feature", "distribution_feature")
+    ] + [
+        (f"feature of arm {arm['name']!r}", arm["params"]["feature"])
+        for arm in arms
+        if arm["policy"] in ("static_boost", "user_centric") and "feature" in arm.get("params", {})
+    ]
+    for where, feature in named:
+        if feature not in names:
+            raise ConfigError(f"{where} {feature!r} is not a schema feature {list(names)}")
 
 
 def build_universe(cfg: ExperimentConfig) -> Universe:
@@ -208,7 +232,7 @@ def fit_artifacts(
     else:
         feats, targets = log.features, log.urps
     model = train_xy(feats, targets, schema, cfg.train)
-    model.metadata["schema"] = schema.to_dict()
+    model.metadata["schema"] = asdict(schema)
     return edges, table, model
 
 
@@ -233,6 +257,20 @@ def make_policies(
             debias_config=cfg.debias,
         )
     return policies
+
+
+def run_arms(
+    cfg: ExperimentConfig, universe: Universe, policies: dict
+) -> Iterator[ArmResult]:
+    """Run each policy through the closed loop against identical pools and streams.
+
+    Yields one result per arm, in policy order, so callers can write each
+    arm's outputs before the next arm runs.
+    """
+    for name, policy in policies.items():
+        yield run_arm(
+            universe, policy, cfg.inflation, cfg.session, cfg.experiment_seed, name=name
+        )
 
 
 def _populated_cell_mean_deviation(
@@ -446,111 +484,78 @@ def evaluate_results(
 
     return {
         "config": cfg.to_dict(),
-        "control": report.control,
-        "arms": {name: m.to_dict() for name, m in report.arms.items()},
-        "deltas": {
-            name: {metric_name: ci.to_dict() for metric_name, ci in row.items()}
-            for name, row in report.deltas.items()
-        },
+        **report.to_dict(),
         "diagnostics": diagnostics,
         "checks": _build_checks(cfg, report, diagnostics),
     }
+
+
+def _write_table(path: Path, header: list[str], rows) -> Path:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def emit_report(report: dict, outdir: str | Path) -> list[Path]:
     """Write report.json plus the table and figure CSVs; returns paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
     report_path = outdir / "report.json"
     report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    written.append(report_path)
 
-    arm_order = [a["name"] for a in report["config"]["arms"]]
-    table_path = outdir / "table1.csv"
-    with open(table_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["arm"]
+    nan = float("nan")
+    diagnostics = report["diagnostics"]
+    table1 = []
+    for name in (a["name"] for a in report["config"]["arms"]):
+        row = [name]
+        deltas = report["deltas"].get(name, {})
         for m in metrics.METRIC_COLUMNS:
-            header += [f"{m}_delta", f"{m}_ci_low", f"{m}_ci_high"]
-        writer.writerow(header)
-        for name in arm_order:
-            row = [name]
-            deltas = report["deltas"].get(name, {})
-            for m in metrics.METRIC_COLUMNS:
-                ci = deltas.get(m)
-                if ci is None:
-                    row += ["", "", ""]
-                else:
-                    row += [repr(ci["point"]), repr(ci["ci_low"]), repr(ci["ci_high"])]
-            writer.writerow(row)
-    written.append(table_path)
-
-    dist_path = outdir / "fig3_distribution.csv"
-    with open(dist_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["level", "count", "mean", "variance", "mean_debiased", "variance_debiased"]
-        )
-        for level, entry in report["diagnostics"]["distribution"].items():
-            writer.writerow(
-                [
-                    level,
-                    entry.get("count", 0),
-                    repr(entry.get("mean", float("nan"))),
-                    repr(entry.get("variance", float("nan"))),
-                    repr(entry.get("mean_debiased", float("nan"))),
-                    repr(entry.get("variance_debiased", float("nan"))),
-                ]
-            )
-    written.append(dist_path)
-
-    shift_path = outdir / "fig4_shift.csv"
-    with open(shift_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "mode",
-                "bucket",
-                "count",
-                "mean_label",
-                "mean_label_debiased",
-                "mean_prediction",
-                "mean_prediction_debiased",
+            ci = deltas.get(m)
+            row += ["", "", ""] if ci is None else [
+                repr(ci["point"]), repr(ci["ci_low"]), repr(ci["ci_high"])
             ]
-        )
-        for mode in ("discrete", "continuous"):
-            for row in report["diagnostics"]["label_shift"][mode]:
-                writer.writerow(
-                    [
-                        mode,
-                        row["bucket"],
-                        row["count"],
-                        repr(row["mean_label"]),
-                        repr(row["mean_label_debiased"]),
-                        repr(row["mean_prediction"]),
-                        repr(row["mean_prediction_debiased"]),
-                    ]
-                )
-    written.append(shift_path)
-
-    cal_path = outdir / "fig4_calibration.csv"
-    with open(cal_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bucket", "count", "mean_prediction", "mean_label", "ratio"])
-        for row in report["diagnostics"]["calibration"]:
-            writer.writerow(
-                [
-                    row["bucket"],
-                    row["count"],
-                    repr(row["mean_prediction"]),
-                    repr(row["mean_label"]),
-                    repr(row["ratio"]),
-                ]
-            )
-    written.append(cal_path)
-    return written
+        table1.append(row)
+    dist_cols = ("mean", "variance", "mean_debiased", "variance_debiased")
+    shift_cols = ("mean_label", "mean_label_debiased", "mean_prediction", "mean_prediction_debiased")
+    cal_cols = ("mean_prediction", "mean_label", "ratio")
+    return [
+        report_path,
+        _write_table(
+            outdir / "table1.csv",
+            ["arm"] + [
+                f"{m}_{part}" for m in metrics.METRIC_COLUMNS
+                for part in ("delta", "ci_low", "ci_high")
+            ],
+            table1,
+        ),
+        _write_table(
+            outdir / "fig3_distribution.csv",
+            ["level", "count", *dist_cols],
+            (
+                [level, entry.get("count", 0), *(repr(entry.get(c, nan)) for c in dist_cols)]
+                for level, entry in diagnostics["distribution"].items()
+            ),
+        ),
+        _write_table(
+            outdir / "fig4_shift.csv",
+            ["mode", "bucket", "count", *shift_cols],
+            (
+                [mode, row["bucket"], row["count"], *(repr(row[c]) for c in shift_cols)]
+                for mode in ("discrete", "continuous")
+                for row in diagnostics["label_shift"][mode]
+            ),
+        ),
+        _write_table(
+            outdir / "fig4_calibration.csv",
+            ["bucket", "count", *cal_cols],
+            (
+                [row["bucket"], row["count"], *(repr(row[c]) for c in cal_cols)]
+                for row in diagnostics["calibration"]
+            ),
+        ),
+    ]
 
 
 def _write_impressions(matrix: np.ndarray, path: Path) -> None:
@@ -588,11 +593,14 @@ def run_pipeline(config: dict, outdir: str | Path) -> dict:
 
     Order: build universe, run the control arm, fit both artifacts on the
     control log, run the remaining arms against the same streams, evaluate,
-    and write the report bundle.
+    and write the report bundle. On a stage failure the entries this run
+    created in ``outdir`` move to ``outdir/failed/``; anything that was
+    there before stays in place.
     """
     cfg = ExperimentConfig.from_dict(config)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    existing = set(outdir.iterdir())
     stage = "universe"
     try:
         universe = build_universe(cfg)
@@ -603,16 +611,7 @@ def run_pipeline(config: dict, outdir: str | Path) -> dict:
         stage = "simulate-control"
         control_name = cfg.control_name
         policies = make_policies(cfg, table=None, model=None, arm_names=[control_name])
-        results = {
-            control_name: run_arm(
-                universe,
-                policies[control_name],
-                cfg.inflation,
-                cfg.session,
-                cfg.experiment_seed,
-                name=control_name,
-            )
-        }
+        results = {r.name: r for r in run_arms(cfg, universe, policies)}
 
         stage = "fit"
         edges, table, model = fit_artifacts(results[control_name].log, cfg)
@@ -625,18 +624,7 @@ def run_pipeline(config: dict, outdir: str | Path) -> dict:
         stage = "simulate-arms"
         rest = [a["name"] for a in cfg.arms if a["name"] != control_name]
         arm_policies = make_policies(cfg, table=table, model=model, arm_names=rest)
-        for arm in cfg.arms:
-            name = arm["name"]
-            if name == control_name:
-                continue
-            results[name] = run_arm(
-                universe,
-                arm_policies[name],
-                cfg.inflation,
-                cfg.session,
-                cfg.experiment_seed,
-                name=name,
-            )
+        results.update((r.name, r) for r in run_arms(cfg, universe, arm_policies))
 
         if cfg.write_logs:
             logs_dir = outdir / "logs"
@@ -652,8 +640,6 @@ def run_pipeline(config: dict, outdir: str | Path) -> dict:
     except Exception as exc:
         failed = outdir / "failed"
         failed.mkdir(exist_ok=True)
-        for child in list(outdir.iterdir()):
-            if child.name == "failed":
-                continue
+        for child in sorted(set(outdir.iterdir()) - existing - {failed}):
             shutil.move(str(child), str(failed / child.name))
         raise StageError(stage, exc) from exc

@@ -54,20 +54,6 @@ def novelty_mask(log: InteractionLog, window_days: float = 14.0) -> np.ndarray:
     return novel
 
 
-def novel_wt_share(log: InteractionLog, window_days: float = 14.0) -> float:
-    """Share of watch time on items novel to the user; nan when total is zero."""
-    total = float(log.watch_times.sum()) if len(log) else 0.0
-    if total <= 0:
-        return float("nan")
-    mask = novelty_mask(log, window_days)
-    return float(log.watch_times[mask].sum() / total)
-
-
-def familiar_wt_share(log: InteractionLog, window_days: float = 14.0) -> float:
-    """Complement of the novel share, exposed for report symmetry."""
-    return 1.0 - novel_wt_share(log, window_days)
-
-
 def per_user_wt_shares(
     log: InteractionLog, window_days: float, n_users: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,19 +92,6 @@ def emerging_creator_mask(
     exposure = np.asarray(creator_exposure, dtype=np.float64)
     threshold = np.percentile(exposure, percentile)
     return (exposure <= threshold) & np.asarray(recent_flags, dtype=bool)
-
-
-def emerging_creator_exposure(
-    log: InteractionLog,
-    creator_exposure: np.ndarray,
-    recent_flags: np.ndarray,
-    percentile: float = 10.0,
-) -> float:
-    """Share of the log's exposure events going to emerging creators."""
-    if len(log) == 0:
-        raise ValueError("cannot compute exposure share on an empty log")
-    mask = emerging_creator_mask(creator_exposure, recent_flags, percentile)
-    return float(np.mean(mask[log.creators.astype(np.int64)]))
 
 
 def emerging_share_from_impressions(
@@ -284,30 +257,6 @@ class DeltaCI:
 def _resample_indices(n: int, replicates: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.integers(0, n, size=(replicates, n))
-
-
-def bootstrap_delta(
-    values_a: np.ndarray,
-    values_b: np.ndarray,
-    replicates: int = 1000,
-    seed: int = 0,
-) -> DeltaCI:
-    """Paired user-level bootstrap of a difference in per-user means.
-
-    The same resampled user indices apply to both arms. With fewer than two
-    replicates the interval degenerates to the point estimate.
-    """
-    a = np.asarray(values_a, dtype=np.float64)
-    b = np.asarray(values_b, dtype=np.float64)
-    if a.size != b.size or a.size == 0:
-        raise ValueError("arms must have the same positive number of users")
-    point = float(b.mean() - a.mean())
-    if replicates < 2:
-        return DeltaCI(point=point, lo=point, hi=point)
-    idx = _resample_indices(a.size, replicates, seed)
-    deltas = b[idx].mean(axis=1) - a[idx].mean(axis=1)
-    lo, hi = np.percentile(deltas, [2.5, 97.5])
-    return DeltaCI(point=point, lo=float(lo), hi=float(hi))
 
 
 def bootstrap_ratio_delta(

@@ -2,15 +2,17 @@
 
 Each policy turns observed candidate scores into a deterministic slate
 ordering; treatment policies wrap the fitted correction artifacts, baseline
-policies wrap the popularity-oriented comparators. Policies rank all users'
-pools at once (rows of the input matrices).
+policies are the deployable popularity-oriented comparators (global
+popularity penalty, static boost, quota re-ranking). Policies rank all
+users' pools at once (rows of the input matrices).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .baselines import STRATA, BoostRule, log_pop_penalize, popularity_terciles, static_boost
 from .bucketizer import AdjustmentTable
 from .core import FeatureSchema
 from .debias import DebiasConfig, debias_scores, factor_source
@@ -24,6 +26,35 @@ __all__ = [
     "QuotaRerankPolicy",
     "build_policy",
 ]
+
+# policy names an arm may use; build_policy constructs each of them
+POLICY_NAMES = ("control", "debias", "log_pop", "static_boost", "user_centric", "item_centric")
+
+STRATA = ("low", "med", "high")
+
+
+def log_pop_penalize(s, item_popularity, lambda_pop: float):
+    """Penalized score s / (1 + popularity) ** lambda_pop; item-global."""
+    if lambda_pop < 0:
+        raise ValueError("lambda_pop must be >= 0")
+    if np.any(np.asarray(item_popularity) < 0):
+        raise ValueError("popularity must be >= 0")
+    return s / (1.0 + item_popularity) ** lambda_pop
+
+
+def popularity_terciles(all_counts: np.ndarray) -> tuple[float, float]:
+    """Global popularity tercile thresholds (low <= t1 < med <= t2 < high)."""
+    t1, t2 = np.quantile(np.asarray(all_counts, dtype=np.float64), [1 / 3, 2 / 3])
+    return float(t1), float(t2)
+
+
+@dataclass(frozen=True)
+class BoostRule:
+    """Fixed multiplier applied when one feature sits below a threshold."""
+
+    feature: str
+    threshold: float
+    multiplier: float
 
 
 class DebiasPolicy:
@@ -162,6 +193,8 @@ def build_policy(
     Raises KeyError for unknown policies and ValueError when a policy needs
     a fitted artifact that was not supplied.
     """
+    if name not in POLICY_NAMES:
+        raise KeyError(f"unknown policy {name!r}")
     if name == "control":
         return ControlPolicy()
     if name == "debias":
@@ -196,10 +229,9 @@ def build_policy(
             edges=table.edges,
             feature=params.get("feature", schema.names[0]),
         )
-    if name == "item_centric":
-        return QuotaRerankPolicy(
-            kind="item",
-            quota=dict(params.get("quota", {"high": 0.35})),
-            slate_size=slate_size,
-        )
-    raise KeyError(f"unknown policy {name!r}")
+    # the one name left in POLICY_NAMES is item_centric
+    return QuotaRerankPolicy(
+        kind="item",
+        quota=dict(params.get("quota", {"high": 0.35})),
+        slate_size=slate_size,
+    )

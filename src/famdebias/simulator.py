@@ -57,15 +57,6 @@ class FeatureSpec:
             return np.exp(-values / self.tau_days)
         return values  # affinity: identity
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "tau_days": self.tau_days,
-            "cap_days": self.cap_days,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSpec":
         return cls(
@@ -131,16 +122,6 @@ class InflationSpec:
         for j, f in enumerate(self.features):
             out = out * (1.0 + f.effective_alpha() * f.transform(features[..., j]))
         return out
-
-    def g(self, b) -> float:
-        arr = b.as_array() if hasattr(b, "as_array") else np.asarray(b, dtype=np.float64)
-        return float(self.g_many(arr.reshape(1, -1))[0])
-
-    def to_dict(self) -> dict:
-        return {
-            "features": [f.to_dict() for f in self.features],
-            "noise_sigma": self.noise_sigma,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "InflationSpec":
@@ -237,20 +218,11 @@ class Universe:
     def latent_dim(self) -> int:
         return self.user_vectors.shape[1]
 
-    def quality_for_pool(self, user: int, pool: np.ndarray) -> np.ndarray:
-        dots = self.item_vectors[pool] @ self.user_vectors[user]
-        return np.exp(dots / np.sqrt(self.latent_dim))
-
     def quality_batch(self, pools: np.ndarray) -> np.ndarray:
         """Quality matrix for per-user pools of shape (n_users, pool)."""
         gathered = self.item_vectors[pools]  # (U, P, d)
         dots = np.einsum("ud,upd->up", self.user_vectors, gathered)
         return np.exp(dots / np.sqrt(self.latent_dim))
-
-    def true_quality(self, user: int, item: int) -> float:
-        """exp(<user vector, item vector> / sqrt(d)); deterministic."""
-        dot = float(self.user_vectors[user] @ self.item_vectors[item])
-        return float(np.exp(dot / np.sqrt(self.latent_dim)))
 
     def manifest(self) -> dict:
         return {
@@ -297,20 +269,6 @@ class SessionConfig:
             raise ValueError("wt scale and affinity half-life must be positive")
         if self.candidate_sample_users < 0:
             raise ValueError("candidate sample size must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "sessions": self.sessions,
-            "pool_size": self.pool_size,
-            "slate_size": self.slate_size,
-            "consume_top_k": self.consume_top_k,
-            "pool_skew": self.pool_skew,
-            "wt_scale": self.wt_scale,
-            "wt_familiarity_weight": self.wt_familiarity_weight,
-            "affinity_half_life_days": self.affinity_half_life_days,
-            "start_day": self.start_day,
-            "candidate_sample_users": self.candidate_sample_users,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SessionConfig":
@@ -442,11 +400,6 @@ class SessionState:
                 raise KeyError(f"no state column for feature {f.name!r}")
         return np.stack(cols, axis=-1)
 
-    def features_for(self, user: int, pool: np.ndarray, now: float) -> np.ndarray:
-        """Familiarity matrix (pool, n_features) for one user's pool."""
-        pool = np.asarray(pool, dtype=np.int64)
-        return self.features_batch(np.asarray([user]), pool.reshape(1, -1), now)[0]
-
     def consume_batch(self, user_ids: np.ndarray, items: np.ndarray, timestamps: np.ndarray) -> None:
         """Record consumptions for many users at once.
 
@@ -492,14 +445,6 @@ class SessionState:
         self._total_mass_ts[user_ids] = now
         self.interactions_appended += items.size
 
-    def consume(self, user: int, items: np.ndarray, timestamps: np.ndarray) -> None:
-        """Single-user convenience wrapper around ``consume_batch``."""
-        self.consume_batch(
-            np.asarray([user]),
-            np.asarray(items, dtype=np.int64).reshape(1, -1),
-            np.asarray(timestamps, dtype=np.float64).reshape(1, -1),
-        )
-
     def record_impressions_batch(self, user_ids: np.ndarray, slate_items: np.ndarray) -> None:
         flat = slate_items.ravel()
         np.add.at(self.item_impressions, flat, 1)
@@ -530,11 +475,6 @@ class Policy(Protocol):
         ...
 
 
-def order_by_key(key: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """Descending key order with deterministic item-id tie-break (1-D)."""
-    return np.lexsort((pool, -key))
-
-
 def order_rows_by_key(key: np.ndarray) -> np.ndarray:
     """Row-wise descending stable order; pools are id-sorted so ties go to lower ids."""
     return np.argsort(-key, axis=1, kind="stable")
@@ -545,9 +485,6 @@ class ControlPolicy:
 
     def rank_batch(self, pools, urps, features, ctx):
         return order_rows_by_key(urps)
-
-    def rank(self, pool, urps, features, ctx):
-        return order_by_key(urps, pool)
 
 
 def _stream_key(seed: int, session: int, user: int) -> int:
@@ -658,22 +595,6 @@ class SessionStreams:
                 rng = _user_rng(self._seed, self._session, int(u))
                 pools[u] = sample_pool(rng, self._n_items, size, pool_cdf=self._pool_cdf)
         return np.sort(pools, axis=1)
-
-
-def observe_urps(
-    user: int,
-    item: int,
-    state: SessionState,
-    inflation: InflationSpec,
-    rng: np.random.Generator,
-    now: float | None = None,
-) -> tuple[float, np.ndarray]:
-    """One observed score draw: true quality * g(b) * lognormal noise."""
-    now = state.cfg.start_day * DAY if now is None else now
-    b = state.features_for(user, np.asarray([item]), now)[0]
-    q = state.universe.true_quality(user, item)
-    noise = float(np.exp(inflation.noise_sigma * rng.standard_normal()))
-    return q * inflation.g(b) * noise, b
 
 
 @dataclass
@@ -841,50 +762,6 @@ def run_arm(
         user_creator_impressions=state.user_creator_impressions,
         candidate_log=candidate_log,
     )
-
-
-def run_experiment(
-    universe: Universe,
-    policies: dict[str, Policy],
-    inflation: InflationSpec,
-    cfg: SessionConfig,
-    seed: int,
-) -> dict[str, ArmResult]:
-    """Run every arm against identical pools and random streams."""
-    if not policies:
-        raise ValueError("need at least one policy")
-    return {
-        name: run_arm(universe, policy, inflation, cfg, seed, name=name)
-        for name, policy in policies.items()
-    }
-
-
-def run_experiment_report(
-    universe: Universe,
-    policies: dict[str, Policy],
-    inflation: InflationSpec,
-    cfg: SessionConfig,
-    seed: int,
-    control: str = "control",
-    window_days: float = 14.0,
-    percentile: float = 10.0,
-    replicates: int = 1000,
-    metric_seed: int = 0,
-):
-    """Arm results plus the paired metrics report against the control arm."""
-    from .metrics import experiment_report  # simulator stays importable alone
-
-    results = run_experiment(universe, policies, inflation, cfg, seed)
-    report = experiment_report(
-        {n: (r.log, r.user_creator_impressions) for n, r in results.items()},
-        recent_flags=universe.creator_recent,
-        control=control,
-        window_days=window_days,
-        percentile=percentile,
-        replicates=replicates,
-        seed=metric_seed,
-    )
-    return results, report
 
 
 def synthetic_training_log(

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from famdebias.bucketizer import AdjustmentTable, fit_edges, fit_table
-from famdebias.core import FamiliarityVector
-from famdebias.debias import DebiasConfig, SlateCandidate, debias_slate
+from famdebias.debias import DebiasConfig, debias_scores, factor_source
 from famdebias.estimator import TrainConfig, forward, gradient_check, train_xy
 from famdebias.harness import run_pipeline
+from famdebias.policies import DebiasPolicy
 from famdebias.simulator import (
     ControlPolicy,
     FeatureSpec,
@@ -198,41 +198,30 @@ class TestCriterion6OrderPreservation:
         table = AdjustmentTable.load(outdir / "artifacts" / "table.json")
         edges = table.edges
         rng = np.random.default_rng(931)
+        config = DebiasConfig()
+        policy = DebiasPolicy(table, config)
+        factors_of, ref_mean = factor_source(table)
         pairs_checked = 0
         for _ in range(300):
             n = int(rng.integers(2, 16))
             scores = rng.uniform(0.05, 50.0, n)
             counts = rng.integers(0, 7, n)
-            cands = [
-                SlateCandidate(
-                    item_id=f"i{k}",
-                    creator_id="c",
-                    urps=float(scores[k]),
-                    familiarity=FamiliarityVector(
-                        (
-                            float(counts[k]),
-                            365.0 if counts[k] == 0 else float(rng.uniform(0, 30)),
-                            float(rng.uniform(0, 1)),
-                        )
-                    ),
-                )
-                for k in range(n)
-            ]
-            out = debias_slate(cands, table, DebiasConfig())
-            by_id = {c.item_id: c for c in out}
-            cells = {
-                c.item_id: tuple(
-                    edges.assign_many(c.familiarity.as_array().reshape(1, -1))[0]
-                )
-                for c in cands
-            }
-            for a in cands:
-                for b in cands:
-                    if a is b or cells[a.item_id] != cells[b.item_id]:
+            rows = []
+            for c in counts:
+                recency = 365.0 if c == 0 else float(rng.uniform(0, 30))
+                rows.append((float(c), recency, float(rng.uniform(0, 1))))
+            feats = np.asarray(rows)
+            order = policy.rank_batch(None, scores[None, :], feats[None, :, :], None)[0]
+            position = np.empty(n, dtype=np.int64)
+            position[order] = np.arange(n)
+            debiased = debias_scores(scores, factors_of(feats), config, ref_mean)
+            cells = [tuple(c) for c in edges.assign_many(feats).tolist()]
+            for a in range(n):
+                for b in range(n):
+                    if a == b or cells[a] != cells[b]:
                         continue
-                    da = by_id[a.item_id].debiased_score
-                    db = by_id[b.item_id].debiased_score
-                    assert np.sign(a.urps - b.urps) == np.sign(da - db)
+                    assert np.sign(scores[a] - scores[b]) == np.sign(debiased[a] - debiased[b])
+                    assert (position[a] < position[b]) == (scores[a] > scores[b])
                     pairs_checked += 1
         announce(
             "criterion 6: within-cell order preservation",

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from famdebias.bucketizer import (
     AdjustmentTable,
     BucketEdges,
-    assign_cell,
     fit_edges,
     fit_table,
-    lookup,
     lookup_many,
     quantile_cuts,
 )
@@ -25,6 +23,17 @@ SCHEMA_2 = FeatureSchema(
     kinds=("count", "affinity"),
     monotonicity=("increasing-with-familiarity", "increasing-with-familiarity"),
 )
+
+
+def cell_of(vector, edges):
+    """Multi-index of the bucket cell holding one familiarity vector."""
+    return tuple(edges.assign_many(np.asarray([vector], dtype=np.float64))[0].tolist())
+
+
+def factor_of(table, vector, **kwargs):
+    """Looked-up factor of one familiarity vector (a one-row batch)."""
+    (factor,) = lookup_many(table, np.asarray([vector], dtype=np.float64), **kwargs)
+    return float(factor)
 
 
 def make_log(features, urps, schema):
@@ -102,13 +111,13 @@ class TestAssignCell:
         )
 
     def test_below_first_cut(self):
-        assert assign_cell((5.0, 0.0), self.edges()) == (0, 0)
+        assert cell_of((5.0, 0.0), self.edges()) == (0, 0)
 
     def test_value_equal_to_cut_goes_up(self):
-        assert assign_cell((20.0, 0.0), self.edges())[0] == 1
+        assert cell_of((20.0, 0.0), self.edges())[0] == 1
 
     def test_two_feature_cell(self):
-        assert assign_cell((25.0, 3.0), self.edges()) == (1, 1)
+        assert cell_of((25.0, 3.0), self.edges()) == (1, 1)
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
@@ -139,7 +148,7 @@ class TestFitTable:
         gm = table.global_mean
         # middle bucket (5 <= x < 8) saw no data: prior-only factor
         assert table.cell_count((1,)) == 0
-        assert lookup(table, [6.0], min_cell_count=0) == pytest.approx(gm)
+        assert factor_of(table, [6.0], min_cell_count=0) == pytest.approx(gm)
 
     def test_clip_bounds_cap_extreme_cells(self):
         log = make_log([0.0] * 10 + [9.0], [1.0] * 10 + [100.0], SCHEMA_1)
@@ -201,18 +210,18 @@ class TestLookup:
         table = _manual_table([[1.0, 1.0], [1.0, 1.0]], [[1, 1], [1, 1]])
         table.factors[table.cell_code((1, 1))] = 3.5
         table.counts[table.cell_code((1, 1))] = 100
-        assert lookup(table, [2.0, 2.0], min_cell_count=10) == 3.5
+        assert factor_of(table, [2.0, 2.0], min_cell_count=10) == 3.5
 
     def test_sparse_cell_backs_off_to_marginal_geometric_mean(self):
         table = _manual_table([[9.0, 1.5], [9.0, 2.0]], [[5, 5], [5, 5]])
         table.counts[table.cell_code((1, 1))] = 2
-        assert lookup(table, [2.0, 2.0], min_cell_count=10) == pytest.approx(
+        assert factor_of(table, [2.0, 2.0], min_cell_count=10) == pytest.approx(
             np.sqrt(3.0)
         )
 
     def test_unseen_cell_with_empty_marginals_returns_global_mean(self):
         table = _manual_table([[2.0, 2.0], [2.0, 2.0]], [[3, 0], [3, 0]], gm=7.0)
-        assert lookup(table, [5.0, 5.0], min_cell_count=10) == 7.0
+        assert factor_of(table, [5.0, 5.0], min_cell_count=10) == 7.0
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(7)
@@ -227,8 +236,9 @@ class TestLookup:
         table = fit_table(log, edges, 1.0, (0.5, 2.0), min_cell_count=20)
         queries = np.column_stack([rng.uniform(-2, 8, 50), rng.uniform(-1, 2, 50)])
         batch = lookup_many(table, queries)
+        # each row's factor does not depend on the rest of the batch
         for i in range(50):
-            assert batch[i] == lookup(table, queries[i])
+            assert batch[i] == factor_of(table, queries[i])
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,4 +1,4 @@
-"""Core types, validation, popularity counting, and JSONL round-trips."""
+"""Core types, validation, exposure counting, and JSONL round-trips."""
 
 import json
 import math
@@ -9,19 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from famdebias.core import (
-    FamiliarityVector,
     FeatureSchema,
-    Interaction,
     InteractionLog,
     LogValidationError,
-    compute_popularity,
-    interaction_from_json,
-    interaction_to_json,
     read_jsonl,
-    require_valid,
     validate_log,
     write_jsonl,
 )
+from famdebias.simulator import InflationSpec, SessionConfig, SessionState, Universe
 
 SCHEMA = FeatureSchema(
     names=("watch_count", "days_since", "affinity"),
@@ -34,18 +29,31 @@ SCHEMA = FeatureSchema(
 )
 
 
-def make_record(
-    user="u1", item="i1", creator="c1", ts=1000.0, wt=10.0, urps=2.0, fam=(1.0, 3.0, 0.5)
-):
-    return Interaction(
-        user_id=user,
-        item_id=item,
-        creator_id=creator,
-        timestamp=ts,
-        watch_time=wt,
-        urps=urps,
-        familiarity=FamiliarityVector(fam),
+def make_log(rows, schema=SCHEMA):
+    """Columnar log from per-row overrides of one well-formed row."""
+    base = dict(user="u1", item="i1", creator="c1", ts=1000.0, wt=10.0, urps=2.0,
+                fam=(1.0, 3.0, 0.5))
+    rows = [{**base, **row} for row in rows]
+    return InteractionLog(
+        schema=schema,
+        users=np.asarray([r["user"] for r in rows]),
+        items=np.asarray([r["item"] for r in rows]),
+        creators=np.asarray([r["creator"] for r in rows]),
+        timestamps=np.asarray([r["ts"] for r in rows], dtype=np.float64),
+        watch_times=np.asarray([r["wt"] for r in rows], dtype=np.float64),
+        urps=np.asarray([r["urps"] for r in rows], dtype=np.float64),
+        features=np.asarray([r["fam"] for r in rows], dtype=np.float64).reshape(
+            len(rows), schema.arity
+        ),
     )
+
+
+def validation_errors(log):
+    try:
+        validate_log(log)
+    except LogValidationError as exc:
+        return exc.errors
+    return []
 
 
 class TestSchema:
@@ -79,69 +87,85 @@ class TestSchema:
 
 class TestValidateLog:
     def test_three_well_formed_records(self):
-        recs = [make_record(item=f"i{k}") for k in range(3)]
-        assert validate_log(recs, SCHEMA) == []
-        assert require_valid(recs, SCHEMA) is recs
+        log = make_log([{"item": f"i{k}"} for k in range(3)])
+        assert validate_log(log) is log
 
     def test_zero_urps_reported_with_index(self):
-        recs = [make_record(), make_record(urps=0.0), make_record()]
-        errors = validate_log(recs, SCHEMA)
-        assert len(errors) == 1
-        idx, msg = errors[0]
-        assert idx == 1
-        assert "URPS" in msg
+        errors = validation_errors(make_log([{}, {"urps": 0.0}, {}]))
+        assert errors == [(1, "non-positive URPS 0.0")]
 
     def test_arity_mismatch_reported(self):
-        recs = [make_record(fam=(1.0, 2.0))]
-        errors = validate_log(recs, SCHEMA)
-        assert len(errors) == 1
-        assert "arity" in errors[0][1]
+        # a columnar log cannot hold rows of the wrong arity: the constructor
+        # names the expected shape
+        with pytest.raises(ValueError, match=r"features shape \(1, 2\) != \(1, 3\)"):
+            InteractionLog(
+                schema=SCHEMA, users=np.array([0]), items=np.array([0]),
+                creators=np.array([0]), timestamps=np.array([1.0]),
+                watch_times=np.array([1.0]), urps=np.array([1.0]),
+                features=np.zeros((1, 2)),
+            )
 
     def test_non_finite_feature_reported(self):
-        recs = [make_record(fam=(1.0, math.inf, 0.1))]
-        assert len(validate_log(recs, SCHEMA)) == 1
+        errors = validation_errors(make_log([{"fam": (1.0, math.inf, 0.1)}]))
+        assert errors == [(0, "non-finite feature value at position 1")]
 
     def test_negative_urps_and_timestamp(self):
-        recs = [make_record(urps=-1.0), make_record(ts=0.0)]
-        errors = validate_log(recs, SCHEMA)
+        errors = validation_errors(make_log([{"urps": -1.0}, {"ts": 0.0}]))
         assert [i for i, _ in errors] == [0, 1]
+        assert errors[1][1] == "non-positive timestamp 0.0"
 
     def test_require_valid_raises_with_all_errors(self):
-        recs = [make_record(urps=0.0), make_record(wt=-1.0)]
+        log = make_log([{"urps": 0.0}, {"wt": -1.0}, {"urps": math.nan, "ts": -1.0}])
         with pytest.raises(LogValidationError) as exc:
-            require_valid(recs, SCHEMA)
-        assert len(exc.value.errors) == 2
+            validate_log(log)
+        # one entry per bad row, its first violation, in row order
+        assert exc.value.errors == [
+            (0, "non-positive URPS 0.0"),
+            (1, "negative watch_time -1.0"),
+            (2, "non-finite URPS nan"),
+        ]
+
+
+def impressions_state(slate_items, creators_of_items, n_users=1):
+    """Session state after recording one slate per user."""
+    items = np.asarray(creators_of_items)
+    universe = Universe(
+        user_vectors=np.zeros((n_users, 2)),
+        item_vectors=np.zeros((items.size, 2)),
+        item_creator=items,
+        creator_recent=np.zeros(int(items.max()) + 1, dtype=bool),
+        seed=0,
+        params={},
+    )
+    state = SessionState(universe, InflationSpec.default(), SessionConfig())
+    slates = np.asarray(slate_items, dtype=np.int64).reshape(n_users, -1)
+    state.record_impressions_batch(np.arange(n_users), slates)
+    return state
 
 
 class TestPopularity:
+    """Exposure counts per item and per creator, as the simulator keeps them."""
+
     def test_counts_by_hand(self):
-        recs = [
-            make_record(item="A"),
-            make_record(item="A"),
-            make_record(item="A"),
-            make_record(item="B"),
-        ]
-        table = compute_popularity(recs)
-        assert table.item_count("A") == 3
-        assert table.item_count("B") == 1
-        assert table.item_count("missing") == 0
+        state = impressions_state([0, 0, 0, 1], creators_of_items=[0, 0, 0])
+        assert state.item_impressions.tolist() == [3, 1, 0]
 
     def test_empty_log(self):
-        table = compute_popularity([])
-        assert table.item_counts == {} and table.creator_counts == {}
+        state = impressions_state(np.zeros((1, 0)), creators_of_items=[0, 1])
+        assert state.item_impressions.sum() == 0
+        assert state.user_creator_impressions.sum() == 0
 
     def test_creator_count_sums_over_items(self):
-        recs = [
-            make_record(item="x", creator="c9"),
-            make_record(item="x", creator="c9"),
-            make_record(item="y", creator="c9"),
-        ]
-        assert compute_popularity(recs).creator_count("c9") == 3
+        # items 0 and 1 both belong to creator 2
+        state = impressions_state([0, 0, 1], creators_of_items=[2, 2, 0])
+        assert state.user_creator_impressions[0].tolist() == [0, 0, 3]
 
     def test_totals_match_log_length(self):
         rng = np.random.default_rng(0)
-        recs = [make_record(item=f"i{rng.integers(5)}") for _ in range(40)]
-        assert compute_popularity(recs).total() == len(recs)
+        slate = rng.integers(0, 5, 40)
+        state = impressions_state(slate, creators_of_items=[0, 1, 1, 2, 2])
+        assert state.item_impressions.sum() == slate.size
+        assert state.user_creator_impressions.sum() == slate.size
 
 
 finite_positive = st.floats(
@@ -153,26 +177,23 @@ finite_feature = st.floats(
 
 
 @st.composite
-def interaction_strategy(draw):
-    return Interaction(
-        user_id=draw(st.integers(0, 50)),
-        item_id=draw(st.integers(0, 50)),
-        creator_id=draw(st.integers(0, 10)),
-        timestamp=draw(finite_positive),
-        watch_time=draw(st.floats(0, 1e6, allow_nan=False)),
-        urps=draw(finite_positive),
-        familiarity=FamiliarityVector(
-            tuple(draw(st.lists(finite_feature, min_size=3, max_size=3)))
-        ),
-    )
+def row_strategy(draw):
+    return {
+        "user": draw(st.integers(0, 50)),
+        "item": draw(st.integers(0, 50)),
+        "creator": draw(st.integers(0, 10)),
+        "ts": draw(finite_positive),
+        "wt": draw(st.floats(0, 1e6, allow_nan=False)),
+        "urps": draw(finite_positive),
+        "fam": tuple(draw(st.lists(finite_feature, min_size=3, max_size=3))),
+    }
 
 
 class TestJsonlRoundTrip:
     @settings(max_examples=50, deadline=None)
-    @given(recs=st.lists(interaction_strategy(), min_size=1, max_size=12))
-    def test_bitwise_round_trip(self, tmp_path_factory, recs):
-        assert validate_log(recs, SCHEMA) == []
-        log = InteractionLog.from_interactions(recs, SCHEMA)
+    @given(rows=st.lists(row_strategy(), min_size=1, max_size=12))
+    def test_bitwise_round_trip(self, tmp_path_factory, rows):
+        log = validate_log(make_log(rows))
         path = tmp_path_factory.mktemp("rt") / "log.jsonl"
         write_jsonl(log, path)
         back = read_jsonl(path, SCHEMA)
@@ -183,17 +204,44 @@ class TestJsonlRoundTrip:
         assert list(back.users) == list(log.users)
         assert list(back.items) == list(log.items)
 
-    def test_record_json_round_trip(self):
-        rec = make_record(urps=2.7182818284590455)
-        obj = interaction_to_json(rec, SCHEMA)
-        back = interaction_from_json(json.loads(json.dumps(obj)), SCHEMA)
-        assert back == rec
+    def test_record_json_round_trip(self, tmp_path):
+        path = tmp_path / "one.jsonl"
+        write_jsonl(make_log([{"urps": 2.7182818284590455}]), path)
+        obj = json.loads(path.read_text())
+        assert obj == {
+            "user_id": "u1", "item_id": "i1", "creator_id": "c1",
+            "timestamp": 1000.0, "watch_time": 10.0, "urps": 2.7182818284590455,
+            "familiarity": {"watch_count": 1.0, "days_since": 3.0, "affinity": 0.5},
+        }
+        assert read_jsonl(path, SCHEMA).urps[0] == 2.7182818284590455
 
-    def test_missing_feature_key_rejected(self):
-        obj = interaction_to_json(make_record(), SCHEMA)
+    def test_missing_feature_key_rejected(self, tmp_path):
+        path = tmp_path / "one.jsonl"
+        write_jsonl(make_log([{}]), path)
+        obj = json.loads(path.read_text())
         del obj["familiarity"]["affinity"]
+        path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(KeyError):
-            interaction_from_json(obj, SCHEMA)
+            read_jsonl(path, SCHEMA)
+
+    def test_read_rejects_invalid_rows(self, tmp_path):
+        rows = [
+            {"urps": 0, "familiarity": {"watch_count": 1.0, "days_since": 3.0, "affinity": 0.5}},
+            {"urps": 2.0, "familiarity": {"watch_count": 1.0, "days_since": float("nan"),
+                                          "affinity": 0.5}},
+            {"urps": 2.0, "familiarity": {"watch_count": 1.0, "days_since": 3.0, "affinity": 0.5}},
+        ]
+        path = tmp_path / "bad.jsonl"
+        with open(path, "w") as fh:
+            for row in rows:
+                row.update(user_id=0, item_id=1, creator_id=2, timestamp=1.0, watch_time=1.0)
+                fh.write(json.dumps(row) + "\n")
+        with pytest.raises(LogValidationError) as exc:
+            read_jsonl(path, SCHEMA)
+        assert exc.value.errors == [
+            (0, "non-positive URPS 0.0"),
+            (1, "non-finite feature value at position 1"),
+        ]
 
     def test_oracle_columns_preserved(self, tmp_path):
         log = InteractionLog(
@@ -218,7 +266,7 @@ class TestJsonlRoundTrip:
 
 class TestInteractionLog:
     def test_feature_column_lookup(self):
-        log = InteractionLog.from_interactions([make_record()], SCHEMA)
+        log = make_log([{}])
         assert log.feature_column("days_since")[0] == 3.0
         with pytest.raises(KeyError):
             log.feature_column("nope")
@@ -236,7 +284,14 @@ class TestInteractionLog:
                 features=np.zeros((1, 2)),
             )
 
-    def test_round_trip_through_records(self):
-        recs = [make_record(item=f"i{k}", urps=1.0 + k) for k in range(4)]
-        log = InteractionLog.from_interactions(recs, SCHEMA)
-        assert log.to_interactions() == recs
+    def test_round_trip_through_records(self, tmp_path):
+        # string ids and per-row values survive the JSON Lines record form
+        log = make_log([{"item": f"i{k}", "urps": 1.0 + k} for k in range(4)])
+        path = tmp_path / "log.jsonl"
+        write_jsonl(log, path)
+        back = read_jsonl(path, SCHEMA)
+        assert back.items.tolist() == ["i0", "i1", "i2", "i3"]
+        assert back.users.tolist() == ["u1"] * 4
+        assert np.array_equal(back.urps, log.urps)
+        assert np.array_equal(back.features, log.features)
+        assert not back.has_oracle

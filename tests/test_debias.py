@@ -1,4 +1,6 @@
-"""Score correction, ranking combiner, slate application, decorrelation."""
+"""Score correction, slate ranking, and decorrelation."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,17 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from famdebias.bucketizer import fit_edges, fit_table
-from famdebias.core import FamiliarityVector, FeatureSchema, InteractionLog
+from famdebias.cli import main
+from famdebias.core import FeatureSchema, InteractionLog
 from famdebias.debias import (
-    CombinerWeights,
     DebiasConfig,
-    SlateCandidate,
     debias_log,
-    debias_score,
-    debias_slate,
-    rank_score,
+    debias_scores,
+    factor_source,
     residual_correlation,
 )
+from famdebias.policies import DebiasPolicy
 from famdebias.simulator import (
     ControlPolicy,
     FeatureSpec,
@@ -48,36 +49,42 @@ def make_log(features, urps, schema=SCHEMA_1):
     )
 
 
+def debias_one(s, adj, config, reference_mean=1.0):
+    """Corrected score of a single (score, factor) pair."""
+    (out,) = debias_scores(np.array([s]), np.array([adj]), config, reference_mean)
+    return float(out)
+
+
 class TestDebiasScore:
     def test_hand_arithmetic(self):
         cfg = DebiasConfig(floor=1e-9, strength=1.0)
-        assert debias_score(3.0, 1.5, cfg) == pytest.approx(2.0)
+        assert debias_one(3.0, 1.5, cfg) == pytest.approx(2.0)
 
     def test_uninformative_divisor_preserves_ranking(self):
         cfg = DebiasConfig(floor=1e-9)
-        scores = [4.0, 2.5, 1.0, 3.3]
-        debiased = [debias_score(s, 1.7, cfg) for s in scores]
+        scores = np.array([4.0, 2.5, 1.0, 3.3])
+        debiased = debias_scores(scores, np.full(4, 1.7), cfg)
         assert np.argsort(debiased).tolist() == np.argsort(scores).tolist()
 
     def test_strength_zero_is_identity(self):
         cfg = DebiasConfig(floor=0.5, strength=0.0)
-        assert debias_score(3.0, 42.0, cfg) == 3.0
+        assert debias_one(3.0, 42.0, cfg) == 3.0
 
     def test_floor_prevents_explosion(self):
         cfg = DebiasConfig(floor=0.1)
-        assert debias_score(2.0, 1e-12, cfg) == pytest.approx(20.0)
+        assert debias_one(2.0, 1e-12, cfg) == pytest.approx(20.0)
 
     def test_default_floor_scales_with_reference_mean(self):
         cfg = DebiasConfig()
         assert cfg.effective_floor(10.0) == pytest.approx(0.5)
-        assert debias_score(2.0, 1e-9, cfg, reference_mean=10.0) == pytest.approx(4.0)
+        assert debias_one(2.0, 1e-9, cfg, reference_mean=10.0) == pytest.approx(4.0)
 
     def test_non_positive_inputs_rejected(self):
         cfg = DebiasConfig()
         with pytest.raises(ValueError):
-            debias_score(0.0, 1.0, cfg)
+            debias_one(0.0, 1.0, cfg)
         with pytest.raises(ValueError):
-            debias_score(1.0, -2.0, cfg)
+            debias_one(1.0, -2.0, cfg)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -88,45 +95,41 @@ class TestDebiasScore:
             DebiasConfig(floor=-1.0)
 
 
+def rank_slate_file(tmp_path, table, rows, strength=1.0):
+    """Rank slate rows (item, urps, x, signals) with ``famdebias debias``."""
+    table_path, slate_path, out_path = (
+        tmp_path / "table.json", tmp_path / "slate.jsonl", tmp_path / "ranked.jsonl"
+    )
+    table.save(table_path)
+    with open(slate_path, "w") as fh:
+        for item, urps, x, signals in rows:
+            fh.write(json.dumps({
+                "item_id": item, "creator_id": "c", "urps": urps,
+                "familiarity": {"x": x}, "quality_signals": signals,
+            }) + "\n")
+    assert main([
+        "debias", "--mode", "discrete", "--table", str(table_path),
+        "--strength", str(strength), "--in", str(slate_path), "--out", str(out_path),
+    ]) == 0
+    return [json.loads(line) for line in out_path.read_text().splitlines()]
+
+
 class TestRankScore:
-    def candidate(self, sdb=2.0, signals=None):
-        return SlateCandidate(
-            item_id="a",
-            creator_id="c",
-            urps=4.0,
-            familiarity=FamiliarityVector((0.0,)),
-            quality_signals=signals or {},
-            debiased_score=sdb,
-        )
+    def test_score_only_reduces_to_debiased_score(self, tmp_path):
+        table = fit_simple_table({0.0: (1.0, 50), 5.0: (2.0, 50)})
+        ranked = rank_slate_file(tmp_path, table, [("a", 4.0, 5.0, {}), ("b", 3.0, 0.0, {})])
+        assert [r["final_score"] for r in ranked] == [r["debiased_score"] for r in ranked]
+        assert [r["debiased_score"] for r in ranked] == pytest.approx([3.0, 2.0])
 
-    def test_score_only_reduces_to_debiased_score(self):
-        assert rank_score(self.candidate(sdb=2.0)) == pytest.approx(2.0)
-
-    def test_hand_arithmetic_with_quality_signal(self):
-        cand = self.candidate(sdb=2.0, signals={"quality": 4.0})
-        w = CombinerWeights(score_weight=1.0, signal_weights={"quality": 0.5})
-        assert rank_score(cand, w) == pytest.approx(4.0)
-
-    def test_common_signal_scaling_keeps_argmax(self):
-        w = CombinerWeights(score_weight=1.0, signal_weights={"q": 0.7})
-        cands = [self.candidate(sdb=s, signals={"q": x}) for s, x in
-                 ((2.0, 1.0), (1.5, 3.0), (3.0, 0.5))]
-        base = [rank_score(c, w) for c in cands]
-        for c in cands:
-            c.quality_signals["q"] *= 13.7
-        scaled = [rank_score(c, w) for c in cands]
-        assert int(np.argmax(base)) == int(np.argmax(scaled))
-
-    def test_non_positive_signal_rejected(self):
-        cand = self.candidate(signals={"q": 0.0})
-        w = CombinerWeights(signal_weights={"q": 1.0})
-        with pytest.raises(ValueError):
-            rank_score(cand, w)
-
-    def test_missing_signal_rejected(self):
-        w = CombinerWeights(signal_weights={"absent": 1.0})
-        with pytest.raises(KeyError):
-            rank_score(self.candidate(), w)
+    def test_common_signal_scaling_keeps_argmax(self, tmp_path):
+        # quality signals are passed through unchanged and carry no weight
+        table = fit_simple_table({0.0: (1.0, 50), 5.0: (2.0, 50)})
+        rows = [("a", 4.0, 5.0, {"q": 1.0}), ("b", 3.0, 0.0, {"q": 3.0})]
+        base = rank_slate_file(tmp_path, table, rows)
+        scaled_rows = [(i, s, x, {"q": q["q"] * 13.7}) for i, s, x, q in rows]
+        scaled = rank_slate_file(tmp_path, table, scaled_rows)
+        assert [r["item_id"] for r in base] == [r["item_id"] for r in scaled] == ["b", "a"]
+        assert [r["quality_signals"]["q"] for r in scaled] == [3.0 * 13.7, 13.7]
 
 
 def fit_simple_table(cell_means: dict):
@@ -141,58 +144,59 @@ def fit_simple_table(cell_means: dict):
                      min_cell_count=1)
 
 
-class TestDebiasSlate:
-    def make_candidates(self, spec):
-        return [
-            SlateCandidate(
-                item_id=item,
-                creator_id="c",
-                urps=s,
-                familiarity=FamiliarityVector((b,)),
-            )
-            for item, s, b in spec
-        ]
+def rank_one_slate(table, spec, config):
+    """(order, debiased scores) of one (item, urps, x) slate under DebiasPolicy."""
+    urps = np.array([[s for _, s, _ in spec]], dtype=np.float64)
+    feats = np.array([[[b] for _, _, b in spec]], dtype=np.float64).reshape(1, len(spec), 1)
+    order = DebiasPolicy(table, config).rank_batch(None, urps, feats, None)[0]
+    factors_of, ref_mean = factor_source(table)
+    debiased = debias_scores(urps[0], factors_of(feats[0]), config, ref_mean)
+    return [spec[i][0] for i in order.tolist()], debiased
 
+
+class TestDebiasSlate:
     def test_same_cell_keeps_relative_order(self):
         table = fit_simple_table({0.0: (2.0, 50), 5.0: (4.0, 50)})
-        cands = self.make_candidates([("a", 4.0, 0.0), ("b", 2.0, 0.0)])
-        out = debias_slate(cands, table, DebiasConfig(floor=1e-9))
-        assert [c.item_id for c in out] == ["a", "b"]
+        order, _ = rank_one_slate(table, [("a", 4.0, 0.0), ("b", 2.0, 0.0)],
+                                  DebiasConfig(floor=1e-9))
+        assert order == ["a", "b"]
 
     def test_cross_cell_order_can_flip(self):
         table = fit_simple_table({0.0: (1.0, 50), 5.0: (2.0, 50)})
-        cands = self.make_candidates([("a", 4.0, 5.0), ("b", 2.5, 0.0)])
-        out = debias_slate(cands, table, DebiasConfig(floor=1e-9))
-        assert [c.item_id for c in out] == ["b", "a"]
-        assert out[0].debiased_score == pytest.approx(2.5)
-        assert out[1].debiased_score == pytest.approx(2.0)
+        order, debiased = rank_one_slate(table, [("a", 4.0, 5.0), ("b", 2.5, 0.0)],
+                                         DebiasConfig(floor=1e-9))
+        assert order == ["b", "a"]
+        assert debiased.tolist() == pytest.approx([2.0, 2.5])
 
-    def test_empty_slate(self):
+    def test_empty_slate(self, tmp_path):
         table = fit_simple_table({0.0: (1.0, 5)})
-        assert debias_slate([], table, DebiasConfig()) == []
+        assert rank_slate_file(tmp_path, table, []) == []
 
-    def test_tie_break_is_lexicographic_on_item_id(self):
+    def test_tie_break_is_lexicographic_on_item_id(self, tmp_path):
         table = fit_simple_table({0.0: (1.0, 50)})
-        cands = self.make_candidates([("z", 2.0, 0.0), ("a", 2.0, 0.0)])
-        out = debias_slate(cands, table, DebiasConfig(floor=1e-9))
-        assert [c.item_id for c in out] == ["a", "z"]
+        ranked = rank_slate_file(
+            tmp_path, table, [("z", 2.0, 0.0, {}), ("a", 2.0, 0.0, {}), ("m", 2.0, 0.0, {})]
+        )
+        assert [r["item_id"] for r in ranked] == ["a", "m", "z"]
 
     def test_strength_zero_reproduces_raw_ranking(self):
         table = fit_simple_table({0.0: (1.0, 50), 5.0: (3.0, 50)})
-        cands = self.make_candidates([("a", 4.0, 5.0), ("b", 2.5, 0.0), ("c", 3.0, 5.0)])
-        out = debias_slate(cands, table, DebiasConfig(strength=0.0))
-        assert [c.item_id for c in out] == ["a", "c", "b"]
-        assert [c.final_score for c in out] == [4.0, 3.0, 2.5]
+        order, debiased = rank_one_slate(
+            table, [("a", 4.0, 5.0), ("b", 2.5, 0.0), ("c", 3.0, 5.0)],
+            DebiasConfig(strength=0.0),
+        )
+        assert order == ["a", "c", "b"]
+        assert debiased.tolist() == [4.0, 2.5, 3.0]
 
     def test_rank_score_continuous_in_strength(self):
         table = fit_simple_table({0.0: (1.0, 50), 5.0: (3.0, 50)})
-        cand = self.make_candidates([("a", 4.0, 5.0)])
 
         def final_at(lam, steps):
             outs = []
             for v in np.linspace(0.0, lam, steps):
-                out = debias_slate(cand, table, DebiasConfig(floor=1e-9, strength=float(v)))
-                outs.append(out[0].final_score)
+                config = DebiasConfig(floor=1e-9, strength=float(v))
+                _, debiased = rank_one_slate(table, [("a", 4.0, 5.0)], config)
+                outs.append(debiased[0])
             return np.asarray(outs)
 
         coarse = final_at(1.0, 11)
@@ -219,25 +223,17 @@ class TestDebiasSlate:
         log = make_log(feats, rng.uniform(0.5, 3.0, 500))
         edges = fit_edges(log, SCHEMA_1, k=3)
         table = fit_table(log, edges, 1.0, (0.5, 2.0), min_cell_count=5)
-        cands = [
-            SlateCandidate(
-                item_id=f"i{k}", creator_id="c", urps=s,
-                familiarity=FamiliarityVector((float(b),)),
-            )
-            for k, (s, b) in enumerate(rows)
-        ]
-        out = debias_slate(cands, table, DebiasConfig())
-        cell_of = {c.item_id: edges.assign_many(c.familiarity.as_array().reshape(1, -1))[0][0]
-                   for c in out}
-        by_id = {c.item_id: c for c in out}
-        for a in cands:
-            for b in cands:
-                if a is b or cell_of[a.item_id] != cell_of[b.item_id]:
+        spec = [(k, s, float(b)) for k, (s, b) in enumerate(rows)]
+        order, debiased = rank_one_slate(table, spec, DebiasConfig())
+        position = {k: pos for pos, k in enumerate(order)}
+        cells = edges.assign_many(np.array([[b] for _, _, b in spec]))[:, 0]
+        for a, sa, _ in spec:
+            for b, sb, _ in spec:
+                if a == b or cells[a] != cells[b]:
                     continue
-                sa, sb = by_id[a.item_id], by_id[b.item_id]
-                assert np.sign(a.urps - b.urps) == pytest.approx(
-                    np.sign(sa.debiased_score - sb.debiased_score)
-                )
+                assert np.sign(sa - sb) == pytest.approx(np.sign(debiased[a] - debiased[b]))
+                if sa > sb:
+                    assert position[a] < position[b]
 
 
 class TestMeanOnePerCell:

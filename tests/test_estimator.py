@@ -15,7 +15,6 @@ from famdebias.estimator import (
     forward,
     gradient_check,
     mse_loss,
-    normalize,
     train_xy,
 )
 
@@ -68,13 +67,13 @@ class TestNormalize:
         norm = Normalizer(
             log1p_mask=np.array([True]), mean=np.zeros(1), std=np.ones(1)
         )
-        assert normalize(np.array([0.0]), norm)[0] == 0.0
+        assert norm.apply(np.array([0.0]))[0] == 0.0
 
     def test_count_e_minus_one_maps_to_one_in_log_space(self):
         norm = Normalizer(
             log1p_mask=np.array([True]), mean=np.zeros(1), std=np.ones(1)
         )
-        assert normalize(np.array([np.e - 1.0]), norm)[0] == pytest.approx(1.0)
+        assert norm.apply(np.array([np.e - 1.0]))[0] == pytest.approx(1.0)
 
     def test_training_set_means_standardize_to_zero(self):
         rng = np.random.default_rng(2)
@@ -98,7 +97,7 @@ class TestNormalize:
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
-            normalize(np.array([1.0, 2.0, 3.0]), identity_normalizer(2))
+            identity_normalizer(2).apply(np.array([1.0, 2.0, 3.0]))
 
 
 class TestForward:

@@ -44,6 +44,25 @@ def bundle_bytes(outdir: Path) -> dict:
     return {name: (outdir / name).read_bytes() for name in names}
 
 
+MALFORMED_CONFIGS = ("not-json", "calibration-feature", "inflation-feature", "boost-feature")
+
+
+def malformed_config_text(case: str, config: dict) -> str:
+    """Config file text that must be rejected before any stage runs."""
+    if case == "not-json":
+        return "{not json"
+    config = json.loads(json.dumps(config))
+    if case == "calibration-feature":
+        config["metrics"]["calibration_feature"] = "nope"
+    elif case == "inflation-feature":
+        config["inflation"]["features"][0]["name"] = "nope"
+    elif case == "boost-feature":
+        config["arms"].append(
+            {"name": "boost", "policy": "static_boost", "params": {"feature": "nope"}}
+        )
+    return json.dumps(config)
+
+
 class TestConfigValidation:
     def test_bundled_configs_parse(self):
         for name in ("quick.json", "repro.json", "aa.json"):
@@ -146,7 +165,8 @@ class TestPipeline:
 
     def test_stage_failure_keeps_partial_outputs(self, quick_config, tmp_path):
         broken = json.loads(json.dumps(quick_config))
-        broken["metrics"]["calibration_feature"] = "not_a_feature"
+        # one calibration bucket passes config parsing but fails in evaluate
+        broken["metrics"]["calibration_buckets"] = 1
         outdir = tmp_path / "broken"
         with pytest.raises(StageError) as exc:
             run_pipeline(broken, outdir)
@@ -155,6 +175,18 @@ class TestPipeline:
         assert failed.is_dir()
         assert (failed / "artifacts" / "table.json").exists()
         assert not (outdir / "artifacts").exists()
+
+    def test_stage_failure_leaves_user_files_in_place(self, quick_config, tmp_path):
+        broken = json.loads(json.dumps(quick_config))
+        broken["metrics"]["calibration_buckets"] = 1
+        outdir = tmp_path / "broken"
+        outdir.mkdir()
+        (outdir / "my_notes.txt").write_text("kept\n")
+        with pytest.raises(StageError):
+            run_pipeline(broken, outdir)
+        assert (outdir / "my_notes.txt").read_text() == "kept\n"
+        assert not (outdir / "failed" / "my_notes.txt").exists()
+        assert (outdir / "failed" / "manifest.json").exists()
 
 
 class TestEmitReport:
@@ -229,10 +261,14 @@ class TestCli:
         assert main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_malformed_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("case", MALFORMED_CONFIGS)
+    def test_malformed_config_exits_2(self, quick_config, tmp_path, case):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        bad.write_text(malformed_config_text(case, quick_config))
+        outdir = tmp_path / "o"
+        assert main(["run", "--config", str(bad), "--out", str(outdir)]) == 2
+        # rejected before any stage ran: nothing written, not even failed/
+        assert not outdir.exists()
 
     def test_unknown_arm_exits_2(self, quick_config, tmp_path):
         cfg_path = tmp_path / "c.json"

@@ -8,15 +8,12 @@ from famdebias.core import FeatureSchema, InteractionLog
 from famdebias.debias import DebiasConfig, debias_log
 from famdebias.estimator import RegressorModel, Normalizer, TrainConfig, train_xy
 from famdebias.metrics import (
-    bootstrap_delta,
     bootstrap_ratio_delta,
     calibration_ratio,
-    emerging_creator_exposure,
     emerging_creator_mask,
+    emerging_share_from_impressions,
     experiment_report,
-    familiar_wt_share,
     label_prediction_shift,
-    novel_wt_share,
     novelty_mask,
     per_user_wt_shares,
     score_distribution_by_bucket,
@@ -53,10 +50,27 @@ def build_log(rows, schema=SCHEMA_1):
     )
 
 
+def novel_share(log, window_days):
+    """Novel watch-time share of a log whose users are 0..n-1."""
+    novel_wt, total_wt = per_user_wt_shares(log, window_days, int(log.users.max()) + 1)
+    return novel_wt.sum() / total_wt.sum()
+
+
+def arm_shares(log, window_days=14.0):
+    """The single-arm report row: novel and familiar watch-time shares."""
+    n_users = int(log.users.max()) + 1
+    report = experiment_report(
+        {"control": (log, np.ones((n_users, 1), dtype=np.int64))},
+        recent_flags=np.zeros(1, dtype=bool), window_days=window_days, replicates=1,
+    )
+    arm = report.arms["control"]
+    return arm.novel_wt_share, arm.familiar_wt_share
+
+
 class TestNovelShare:
     def test_first_session_everything_novel(self):
         log = build_log([(u, i, 0, 30, 10.0, 1.0, 0.0) for u in range(3) for i in range(4)])
-        assert novel_wt_share(log, 14) == 1.0
+        assert novel_share(log, 14) == 1.0
 
     def test_window_rule_by_hand(self):
         # history watches carry zero watch time; the session watches carry it
@@ -67,19 +81,21 @@ class TestNovelShare:
             (0, "B", 0, 30.0, 10.0, 1.0, 0.0),  # never seen: novel
             (0, "C", 0, 30.0, 20.0, 1.0, 0.0),  # seen 20 days ago: novel
         ]
-        assert novel_wt_share(build_log(rows), 14) == pytest.approx(0.30)
-        assert familiar_wt_share(build_log(rows), 14) == pytest.approx(0.70)
+        novel, familiar = arm_shares(build_log(rows), 14)
+        assert novel == pytest.approx(0.30)
+        assert familiar == pytest.approx(0.70)
 
     def test_zero_window_everything_novel(self):
         rows = [
             (0, "A", 0, 29.0, 5.0, 1.0, 0.0),
             (0, "A", 0, 30.0, 5.0, 1.0, 0.0),
         ]
-        assert novel_wt_share(build_log(rows), 0) == 1.0
+        assert novel_share(build_log(rows), 0) == 1.0
 
     def test_zero_watch_time_flagged_undefined(self):
         log = build_log([(0, "A", 0, 1.0, 0.0, 1.0, 0.0)])
-        assert np.isnan(novel_wt_share(log, 14))
+        novel, familiar = arm_shares(log, 14)
+        assert np.isnan(novel) and np.isnan(familiar)
 
     def test_complementarity_exact(self):
         rng = np.random.default_rng(1)
@@ -87,8 +103,8 @@ class TestNovelShare:
             (int(rng.integers(4)), int(rng.integers(10)), 0, float(d), float(rng.uniform(1, 5)), 1.0, 0.0)
             for d in rng.uniform(1, 60, 300)
         ]
-        log = build_log(rows)
-        assert novel_wt_share(log, 14) + familiar_wt_share(log, 14) == 1.0
+        novel, familiar = arm_shares(build_log(rows), 14)
+        assert novel + familiar == 1.0
 
     def test_record_order_invariance(self):
         rng = np.random.default_rng(2)
@@ -99,7 +115,7 @@ class TestNovelShare:
         log = build_log(rows)
         perm = rng.permutation(len(log))
         shuffled = log.subset(perm)
-        assert novel_wt_share(shuffled, 14) == pytest.approx(novel_wt_share(log, 14))
+        assert novel_share(shuffled, 14) == pytest.approx(novel_share(log, 14))
         mask = novelty_mask(log, 14)
         assert np.array_equal(novelty_mask(shuffled, 14), mask[perm])
 
@@ -121,28 +137,39 @@ class TestNovelShare:
         log = build_log(rows)
         novel_wt, total_wt = per_user_wt_shares(log, 14, 5)
         assert total_wt.sum() == pytest.approx(log.watch_times.sum())
-        assert novel_wt.sum() / total_wt.sum() == pytest.approx(novel_wt_share(log, 14))
+        mask = novelty_mask(log, 14)
+        assert novel_wt.sum() / total_wt.sum() == pytest.approx(
+            log.watch_times[mask].sum() / log.watch_times.sum()
+        )
+
+
+def emerging_share(matrix, recent, percentile=10.0):
+    """Share of all impressions that go to emerging creators."""
+    emerging, total = emerging_share_from_impressions(
+        np.asarray(matrix), np.asarray(recent), percentile
+    )
+    return emerging.sum() / total.sum()
 
 
 class TestEmergingExposure:
     def test_no_emerging_creators(self):
-        log = build_log([(0, 0, c, 1.0, 1.0, 1.0, 0.0) for c in range(3)])
-        exposure = np.array([10, 20, 30])
-        recent = np.array([False, False, False])
-        assert emerging_creator_exposure(log, exposure, recent, 10) == 0.0
+        matrix = [[10, 20, 30]]
+        assert emerging_share(matrix, [False, False, False]) == 0.0
 
     def test_all_impressions_to_one_emerging_creator(self):
-        log = build_log([(0, 0, 2, 1.0, 1.0, 1.0, 0.0)] * 5)
-        exposure = np.array([50, 60, 0])
-        recent = np.array([False, False, True])
-        assert emerging_creator_exposure(log, exposure, recent, 10) == 1.0
+        # user 0 sees only creator 2, which is recent and least exposed
+        matrix = np.array([[0, 0, 5], [50, 60, 0]])
+        emerging, total = emerging_share_from_impressions(
+            matrix, np.array([False, False, True]), 10.0
+        )
+        assert emerging[0] / total[0] == 1.0
+        assert emerging[1] == 0.0
 
     def test_two_of_ten_impressions(self):
-        rows = [(0, 0, 5, 1.0, 1.0, 1.0, 0.0)] * 2 + [(0, 0, 1, 1.0, 1.0, 1.0, 0.0)] * 8
-        log = build_log(rows)
-        exposure = np.array([40, 50, 60, 70, 80, 0])
+        matrix = np.array([[0, 8, 0, 0, 0, 2], [40, 42, 60, 70, 80, 0]])
         recent = np.array([False] * 5 + [True])
-        assert emerging_creator_exposure(log, exposure, recent, 10) == pytest.approx(0.2)
+        emerging, total = emerging_share_from_impressions(matrix, recent, 10.0)
+        assert emerging[0] / total[0] == pytest.approx(0.2)
 
     def test_mask_requires_recent_join_and_low_exposure(self):
         exposure = np.array([0, 0, 100, 100])
@@ -151,9 +178,13 @@ class TestEmergingExposure:
         assert mask.tolist() == [True, False, False, False]
 
     def test_empty_log_rejected(self):
+        # an experiment with no users has nothing to compare
         log = build_log([])
         with pytest.raises(ValueError):
-            emerging_creator_exposure(log, np.array([1.0]), np.array([True]), 10)
+            experiment_report(
+                {"control": (log, np.zeros((0, 1), dtype=np.int64))},
+                recent_flags=np.array([True]),
+            )
 
 
 def exact_mean_log_and_table(seed=29, n=20000):
@@ -263,24 +294,33 @@ class TestLabelPredictionShift:
             label_prediction_shift(log, table, DebiasConfig(), "x")
 
 
+def mean_delta(values_a, values_b, replicates=1000, seed=0):
+    """Paired bootstrap of the difference in per-user means."""
+    ones = np.ones(np.size(values_a))
+    return bootstrap_ratio_delta(
+        values_a, ones, values_b, np.ones(np.size(values_b)),
+        replicates=replicates, seed=seed,
+    )
+
+
 class TestBootstrap:
     def test_identical_arms_give_zero_delta_and_ci(self):
         values = np.random.default_rng(3).uniform(0, 1, 50)
-        ci = bootstrap_delta(values, values, replicates=300, seed=1)
+        ci = mean_delta(values, values, replicates=300, seed=1)
         assert ci.point == 0.0 and ci.lo == 0.0 and ci.hi == 0.0
         assert ci.contains_zero()
 
     def test_constant_metrics_give_degenerate_ci(self):
         a = np.full(40, 0.2)
         b = np.full(40, 0.5)
-        ci = bootstrap_delta(a, b, replicates=500, seed=2)
+        ci = mean_delta(a, b, replicates=500, seed=2)
         assert ci.point == pytest.approx(0.3)
         assert ci.lo == pytest.approx(0.3) and ci.hi == pytest.approx(0.3)
 
     def test_single_replicate_ci_equals_point(self):
         rng = np.random.default_rng(4)
         a, b = rng.uniform(0, 1, 30), rng.uniform(0, 1, 30)
-        ci = bootstrap_delta(a, b, replicates=1, seed=3)
+        ci = mean_delta(a, b, replicates=1, seed=3)
         assert ci.lo == ci.point == ci.hi
 
     def test_ratio_delta_units(self):
@@ -296,13 +336,13 @@ class TestBootstrap:
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(5)
         a, b = rng.uniform(0, 1, 40), rng.uniform(0, 1, 40)
-        c1 = bootstrap_delta(a, b, replicates=200, seed=9)
-        c2 = bootstrap_delta(a, b, replicates=200, seed=9)
+        c1 = mean_delta(a, b, replicates=200, seed=9)
+        c2 = mean_delta(a, b, replicates=200, seed=9)
         assert (c1.point, c1.lo, c1.hi) == (c2.point, c2.lo, c2.hi)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            bootstrap_delta(np.ones(3), np.ones(4))
+            mean_delta(np.ones(3), np.ones(4))
 
 
 class TestExperimentReport:

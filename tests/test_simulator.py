@@ -1,9 +1,15 @@
 """Closed-loop simulator: oracle identities, pairing, determinism, dynamics."""
 
+import json
+from dataclasses import asdict
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from famdebias.metrics import familiar_share_by_time_quartile
+from famdebias.harness import ExperimentConfig, run_arms
+from famdebias.metrics import experiment_report, familiar_share_by_time_quartile
 from famdebias.simulator import (
     DAY,
     ControlPolicy,
@@ -13,10 +19,7 @@ from famdebias.simulator import (
     SessionState,
     SessionStreams,
     Universe,
-    observe_urps,
     run_arm,
-    run_experiment,
-    run_experiment_report,
     sample_pool,
     synthetic_training_log,
 )
@@ -35,12 +38,37 @@ def small_universe(seed=0, users=40, items=400, creators=30):
     return Universe.build(users=users, items=items, creators=creators, seed=seed)
 
 
+def quality(uni, user, item):
+    """Latent quality of one (user, item) pair, read through ``quality_batch``."""
+    return float(uni.quality_batch(np.full((uni.n_users, 1), item))[user, 0])
+
+
+def features_of(state, user, items, now):
+    """Familiarity matrix (items, n_features) of one user's candidates."""
+    pools = np.asarray(items, dtype=np.int64).reshape(1, -1)
+    return state.features_batch(np.array([user]), pools, now)[0]
+
+
+def consume(state, user, items, timestamps):
+    state.consume_batch(
+        np.array([user]),
+        np.asarray(items, dtype=np.int64).reshape(1, -1),
+        np.asarray(timestamps, dtype=np.float64).reshape(1, -1),
+    )
+
+
+def arm_results(uni, policies, spec, cfg, seed):
+    """Every arm through the pipeline's shared arm loop."""
+    experiment = SimpleNamespace(inflation=spec, session=cfg, experiment_seed=seed)
+    return {r.name: r for r in run_arms(experiment, uni, policies)}
+
+
 class TestTrueQuality:
     def test_orthogonal_vectors_give_one(self):
         uni = small_universe()
         uni.user_vectors[0] = np.array([1.0, 0, 0, 0, 0, 0, 0, 0])
         uni.item_vectors[0] = np.array([0, 1.0, 0, 0, 0, 0, 0, 0])
-        assert uni.true_quality(0, 0) == pytest.approx(1.0)
+        assert quality(uni, 0, 0) == pytest.approx(1.0)
 
     def test_unit_dot_over_sqrt_d_gives_e(self):
         uni = small_universe()
@@ -49,7 +77,7 @@ class TestTrueQuality:
         v[0] = 8.0**0.25
         uni.user_vectors[1] = v
         uni.item_vectors[1] = v
-        assert uni.true_quality(1, 1) == pytest.approx(np.e)
+        assert quality(uni, 1, 1) == pytest.approx(np.e)
 
     def test_depends_only_on_dot_product(self):
         uni = small_universe()
@@ -57,26 +85,29 @@ class TestTrueQuality:
         uni.item_vectors[2] = np.array([1.0, 3.0, 0, 0, 0, 0, 0, 0])
         uni.user_vectors[3] = np.array([0, 0, 0, 1.0, 0, 0, 0, 0])
         uni.item_vectors[3] = np.array([0, 0, 0, 2.0, 0, 0, 0, 0])
-        assert uni.true_quality(2, 2) == pytest.approx(uni.true_quality(3, 3))
+        assert quality(uni, 2, 2) == pytest.approx(quality(uni, 3, 3))
 
     def test_batch_matches_scalar(self):
         uni = small_universe(seed=5)
         pool = np.array([3, 7, 11])
-        batch = uni.quality_for_pool(4, pool)
+        pools = np.tile(pool, (uni.n_users, 1))
+        batch = uni.quality_batch(pools)[4]
         for j, item in enumerate(pool):
-            assert batch[j] == pytest.approx(uni.true_quality(4, int(item)))
+            dot = uni.user_vectors[4] @ uni.item_vectors[item]
+            assert batch[j] == pytest.approx(np.exp(dot / np.sqrt(uni.latent_dim)))
+            assert batch[j] == quality(uni, 4, int(item))
 
 
 class TestInflation:
     def test_fresh_pair_gets_factor_one(self):
         fresh = SPEC.fresh_vector()
-        assert SPEC.g(fresh) == pytest.approx(1.0, abs=1e-15)
+        assert SPEC.g_many(fresh)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_count_contribution_by_hand(self):
         spec = InflationSpec(
             features=(FeatureSpec("item_watch_count", "count", 0.6),), noise_sigma=0.0
         )
-        assert spec.g(np.array([np.e - 1.0])) == pytest.approx(1.6)
+        assert spec.g_many(np.array([np.e - 1.0]))[0] == pytest.approx(1.6)
 
     def test_factor_at_least_one_for_nonnegative_alphas(self):
         rng = np.random.default_rng(1)
@@ -86,7 +117,7 @@ class TestInflation:
         assert np.all(SPEC.g_many(feats) >= 1.0)
 
     def test_config_round_trip(self):
-        back = InflationSpec.from_dict(SPEC.to_dict())
+        back = InflationSpec.from_dict(asdict(SPEC))
         assert back == SPEC
 
     def test_schema_derived_from_features(self):
@@ -101,13 +132,14 @@ class TestObserve:
     def test_fresh_pair_no_noise_returns_quality(self):
         uni = small_universe(seed=2)
         spec = InflationSpec(features=SPEC.features, noise_sigma=0.0)
-        state = SessionState(uni, spec, SessionConfig(sessions=1, pool_size=4,
-                                                      slate_size=2, consume_top_k=1))
-        rng = np.random.default_rng(0)
-        urps, b = observe_urps(5, 9, state, spec, rng)
-        assert urps == pytest.approx(uni.true_quality(5, 9))
+        cfg = SessionConfig(sessions=1, pool_size=4, slate_size=2, consume_top_k=1)
+        state = SessionState(uni, spec, cfg)
+        b = features_of(state, 5, [9], cfg.start_day * DAY)[0]
         assert b[0] == 0.0 and b[2] == 0.0
         assert b[1] == 365.0
+        # score = quality * g(b) * exp(0): a fresh pair carries no inflation
+        urps = quality(uni, 5, 9) * spec.g_many(b)[0]
+        assert urps == pytest.approx(quality(uni, 5, 9))
 
     def test_consumed_item_carries_inflation(self):
         uni = small_universe(seed=3)
@@ -115,34 +147,27 @@ class TestObserve:
         cfg = SessionConfig(sessions=1, pool_size=4, slate_size=2, consume_top_k=1)
         state = SessionState(uni, spec, cfg)
         now = 10 * DAY
-        state.consume(7, np.array([3]), np.array([now - 2 * DAY]))
-        rng = np.random.default_rng(0)
-        urps, b = observe_urps(7, 3, state, spec, rng, now=now)
+        consume(state, 7, [3], [now - 2 * DAY])
+        b = features_of(state, 7, [3], now)[0]
         assert b[0] == 1.0
         assert b[1] == pytest.approx(2.0)
-        expected = uni.true_quality(7, 3) * spec.g(b)
-        assert urps == pytest.approx(expected)
-        assert urps > uni.true_quality(7, 3)
+        urps = quality(uni, 7, 3) * spec.g_many(b)[0]
+        assert urps > quality(uni, 7, 3)
 
     def test_mean_of_repeated_draws_matches_lognormal_oracle(self):
         uni = small_universe(seed=4)
         cfg = SessionConfig(sessions=1, pool_size=4, slate_size=2, consume_top_k=1)
         state = SessionState(uni, SPEC, cfg)
         now = 5 * DAY
-        state.consume(2, np.array([8]), np.array([now - 1 * DAY]))
+        consume(state, 2, [8], [now - 1 * DAY])
         rng = np.random.default_rng(11)
         # one state read, many draws: same layout as repeated observation
-        b = state.features_for(2, np.array([8]), now)[0]
-        q = uni.true_quality(2, 8)
-        draws = q * SPEC.g(b) * np.exp(SPEC.noise_sigma * rng.standard_normal(100_000))
-        expected = q * SPEC.g(b) * np.exp(SPEC.noise_sigma**2 / 2)
+        b = features_of(state, 2, [8], now)[0]
+        q = quality(uni, 2, 8)
+        g = SPEC.g_many(b)[0]
+        draws = q * g * np.exp(SPEC.noise_sigma * rng.standard_normal(100_000))
+        expected = q * g * np.exp(SPEC.noise_sigma**2 / 2)
         assert draws.mean() == pytest.approx(expected, rel=0.01)
-        # spot check: the scalar operation draws from the same law
-        scalar = np.array([
-            observe_urps(2, 8, state, SPEC, np.random.default_rng(s), now=now)[0]
-            for s in range(2000)
-        ])
-        assert scalar.mean() == pytest.approx(expected, rel=0.05)
 
 
 class TestAffinity:
@@ -154,9 +179,9 @@ class TestAffinity:
         same_creator = np.flatnonzero(uni.item_creator == creator)[:2]
         other = np.flatnonzero(uni.item_creator != creator)[:3]
         t = DAY
-        state.consume(0, same_creator, np.full(same_creator.size, t))
-        state.consume(0, other, np.full(other.size, 2 * DAY))
-        feats = state.features_for(0, np.concatenate([same_creator, other]), 3 * DAY)
+        consume(state, 0, same_creator, np.full(same_creator.size, t))
+        consume(state, 0, other, np.full(other.size, 2 * DAY))
+        feats = features_of(state, 0, np.concatenate([same_creator, other]), 3 * DAY)
         share = feats[:, 2]
         assert np.all(share > 0) and np.all(share <= 1)
         total = share[0] + share[same_creator.size]
@@ -232,7 +257,7 @@ class TestStepAndConservation:
     def test_identical_policies_identical_streams(self):
         uni = small_universe(seed=9)
         cfg = SessionConfig(sessions=3, pool_size=20, slate_size=6, consume_top_k=3)
-        results = run_experiment(
+        results = arm_results(
             uni, {"a": ControlPolicy(), "b": ControlPolicy()}, SPEC, cfg, seed=3
         )
         a, b = results["a"].log, results["b"].log
@@ -271,10 +296,11 @@ class TestStepAndConservation:
         assert np.all(res.candidate_log.watch_times == 0)
 
     def test_empty_policy_map_rejected(self):
-        uni = small_universe(seed=13)
+        config_path = Path(__file__).resolve().parent.parent / "configs" / "quick.json"
+        config = json.loads(config_path.read_text())
+        config["arms"] = []
         with pytest.raises(ValueError):
-            run_experiment(uni, {}, SPEC, SessionConfig(sessions=1, pool_size=4,
-                                                        slate_size=2, consume_top_k=1), 0)
+            ExperimentConfig.from_dict(config)
 
 
 class TestAmplification:
@@ -299,8 +325,10 @@ class TestExperimentReportSurface:
             "alt_a": ControlPolicy(),
             "alt_b": ControlPolicy(),
         }
-        results, report = run_experiment_report(
-            uni, policies, SPEC, cfg, seed=52, replicates=50, metric_seed=53
+        results = arm_results(uni, policies, SPEC, cfg, seed=52)
+        report = experiment_report(
+            {n: (r.log, r.user_creator_impressions) for n, r in results.items()},
+            recent_flags=uni.creator_recent, replicates=50, seed=53,
         )
         assert set(results) == {"control", "alt_a", "alt_b"}
         assert set(report.deltas) == {"control", "alt_a", "alt_b"}
@@ -330,8 +358,10 @@ class TestExperimentReportSurface:
             "control": ControlPolicy(),
             "treated": DebiasPolicy(table, DebiasConfig(mode="discrete")),
         }
-        _, report = run_experiment_report(
-            uni, policies, spec, cfg, seed=56, replicates=300, metric_seed=57
+        results = arm_results(uni, policies, spec, cfg, seed=56)
+        report = experiment_report(
+            {n: (r.log, r.user_creator_impressions) for n, r in results.items()},
+            recent_flags=uni.creator_recent, replicates=300, seed=57,
         )
         fam = report.deltas["treated"]["familiar_wt_share"]
         nov = report.deltas["treated"]["novel_wt_share"]
