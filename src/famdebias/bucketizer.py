@@ -95,10 +95,22 @@ class BucketEdges:
         )
 
 
+def _require_fittable(log: InteractionLog) -> None:
+    """Reject non-finite features and non-finite or non-positive scores."""
+    for bad, what in (
+        (~np.isfinite(log.features).all(axis=1), "non-finite feature value"),
+        (~(np.isfinite(log.urps) & (log.urps > 0)), "non-finite or non-positive URPS"),
+    ):
+        if bad.any():
+            rows = np.flatnonzero(bad)
+            raise ValueError(f"{what} in {rows.size} row(s), first row {rows[0]}")
+
+
 def fit_edges(log: InteractionLog, schema: FeatureSchema, k: int = 5) -> BucketEdges:
     """Fit equal-mass bucket edges per feature; constants yield one bucket."""
     if len(log) == 0:
         raise ValueError("cannot fit edges on an empty log")
+    _require_fittable(log)
     cuts = []
     constant = []
     for j, name in enumerate(schema.names):
@@ -235,7 +247,7 @@ def fit_table(
     clip_bounds: tuple[float, float] | None = (0.5, 2.0),
     min_cell_count: int = 50,
 ) -> AdjustmentTable:
-    """Fit the per-cell adjustment table on a validated log.
+    """Fit the per-cell adjustment table on a log of finite features and positive scores.
 
     Cell factor = (sum of scores + m * global_mean) / (count + m), clipped
     into clip_bounds * global_mean; marginal per-feature tables use the same
@@ -244,6 +256,7 @@ def fit_table(
     """
     if len(log) == 0:
         raise ValueError("cannot fit a table on an empty log")
+    _require_fittable(log)
     if smoothing_prior_weight < 0:
         raise ValueError("smoothing prior weight must be >= 0")
     if clip_bounds is not None and not (0 < clip_bounds[0] <= clip_bounds[1]):

@@ -66,9 +66,10 @@ def debias_scores(
     """Corrected scores s / max(adj**strength, floor); strictly positive."""
     scores = np.asarray(scores, dtype=np.float64)
     factors = np.asarray(factors, dtype=np.float64)
-    if np.any(scores <= 0):
+    # ~(x > 0) also catches NaN, for which every comparison is False
+    if np.any(~(scores > 0)):
         raise ValueError("scores must be positive")
-    if np.any(factors <= 0):
+    if np.any(~(factors > 0)):
         raise ValueError("adjustment factors must be positive")
     eps = config.effective_floor(reference_mean)
     return scores / np.maximum(factors**config.strength, eps)

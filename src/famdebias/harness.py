@@ -14,7 +14,6 @@ import json
 import shutil
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +30,8 @@ from .simulator import (
     InflationSpec,
     SessionConfig,
     Universe,
-    run_arm,
+    run_arm,  # re-exported: callers run a single arm through harness.run_arm
+    run_paired_arms,
 )
 
 
@@ -119,6 +119,12 @@ class ExperimentConfig:
         }
         metric_defaults.update(metric_cfg)
         _check_feature_names(inflation, arms, metric_defaults)
+        for where, count in (
+            ("bucketizer.k", bucket_cfg["k"]),
+            ("metrics.calibration_buckets", int(metric_defaults["calibration_buckets"])),
+        ):
+            if count < 2:
+                raise ConfigError(f"{where} must be at least 2, got {count}")
         return cls(
             universe=universe,
             inflation=inflation,
@@ -261,16 +267,16 @@ def make_policies(
 
 def run_arms(
     cfg: ExperimentConfig, universe: Universe, policies: dict
-) -> Iterator[ArmResult]:
+) -> list[ArmResult]:
     """Run each policy through the closed loop against identical pools and streams.
 
-    Yields one result per arm, in policy order, so callers can write each
-    arm's outputs before the next arm runs.
+    All arms step together, session by session, against one shared build of
+    each session's draws; the results, one per arm in policy order, are
+    returned when every arm has finished.
     """
-    for name, policy in policies.items():
-        yield run_arm(
-            universe, policy, cfg.inflation, cfg.session, cfg.experiment_seed, name=name
-        )
+    return run_paired_arms(
+        universe, policies, cfg.inflation, cfg.session, cfg.experiment_seed
+    )
 
 
 def _populated_cell_mean_deviation(

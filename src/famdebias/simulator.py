@@ -4,10 +4,14 @@ The generator is the oracle: observed scores are built as
 ``true_quality * g(familiarity) * lognormal_noise`` with a declared
 inflation surface g, so every recovery test can compare a fitted estimator
 against the exact conditional mean. Sessions form a closed loop (consumed
-recommendations update familiarity state), and experiment arms share both
-the candidate pools and the per-user random streams so comparisons are
-paired. Users advance independently within a session; the implementation
-batches them for speed without changing any per-user result.
+recommendations update familiarity state), and experiment arms share the
+candidate pools, the score noise and the watch-time draws, so comparisons
+are paired (common random numbers). The draws depend only on (seed,
+session), so ``run_paired_arms`` builds each session's draws once and
+steps every arm against them; each arm keeps its own state and log, and its
+result equals a run of that policy alone. Users advance independently
+within a session; the implementation batches them for speed without
+changing any per-user result.
 """
 
 from __future__ import annotations
@@ -597,6 +601,44 @@ class SessionStreams:
         return np.sort(pools, axis=1)
 
 
+@dataclass(frozen=True)
+class SessionDraws:
+    """One session's draws and quality, shared read-only by every arm.
+
+    Nothing here depends on a policy or on familiarity state, so one build
+    per (seed, session) serves all arms of a paired run.
+    """
+
+    session: int
+    now: float
+    pools: np.ndarray
+    quality: np.ndarray
+    noise: np.ndarray  # multiplicative score noise exp(noise_sigma * normal)
+    exps: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        universe: Universe,
+        inflation: InflationSpec,
+        cfg: SessionConfig,
+        session: int,
+        seed: int,
+        pool_cdf: np.ndarray | None = None,
+    ) -> "SessionDraws":
+        streams = SessionStreams(
+            seed, session, universe.n_users, universe.n_items, cfg, pool_cdf=pool_cdf
+        )
+        return cls(
+            session=session,
+            now=(cfg.start_day + session) * DAY,
+            pools=streams.pools,
+            quality=universe.quality_batch(streams.pools),
+            noise=np.exp(inflation.noise_sigma * streams.normals),
+            exps=streams.exps,
+        )
+
+
 @dataclass
 class ArmResult:
     name: str
@@ -606,16 +648,40 @@ class ArmResult:
     candidate_log: InteractionLog | None = None
 
 
-class _LogBuffers:
-    def __init__(self) -> None:
-        self.users: list[np.ndarray] = []
-        self.items: list[np.ndarray] = []
-        self.timestamps: list[np.ndarray] = []
-        self.watch_times: list[np.ndarray] = []
-        self.urps: list[np.ndarray] = []
-        self.features: list[np.ndarray] = []
-        self.quality: list[np.ndarray] = []
-        self.inflation: list[np.ndarray] = []
+class _LogColumns:
+    """Log columns preallocated for a whole run, one block of rows per session."""
+
+    def __init__(self, rows_per_session: int, sessions: int, arity: int):
+        n = rows_per_session * sessions
+        self.block = rows_per_session
+        self.users = np.empty(n, dtype=np.int64)
+        self.items = np.empty(n, dtype=np.int64)
+        self.timestamps = np.empty(n)
+        self.watch_times = np.empty(n)
+        self.urps = np.empty(n)
+        self.features = np.empty((n, arity))
+        self.quality = np.empty(n)
+        self.inflation = np.empty(n)
+
+    def put(self, session: int, **columns: np.ndarray) -> None:
+        rows = slice(session * self.block, (session + 1) * self.block)
+        for name, values in columns.items():
+            target = getattr(self, name)
+            target[rows] = np.reshape(values, target[rows].shape)
+
+    def to_log(self, universe: Universe, schema: FeatureSchema) -> InteractionLog:
+        return InteractionLog(
+            schema=schema,
+            users=self.users,
+            items=self.items,
+            creators=universe.item_creator[self.items],
+            timestamps=self.timestamps,
+            watch_times=self.watch_times,
+            urps=self.urps,
+            features=self.features,
+            true_quality=self.quality,
+            inflation=self.inflation,
+        )
 
 
 def step_session(
@@ -624,45 +690,41 @@ def step_session(
     policy: Policy,
     inflation: InflationSpec,
     cfg: SessionConfig,
-    session: int,
-    seed: int,
-    buffers: _LogBuffers,
-    pool_cdf: np.ndarray | None = None,
-    candidate_buffers: _LogBuffers | None = None,
+    draws: SessionDraws,
+    log: _LogColumns,
+    candidates: _LogColumns | None = None,
 ) -> None:
-    """Advance every user by one session.
+    """Advance every user of one arm by one session against the shared draws.
 
-    Pools are scored with fresh noise, ranked by the policy, the top of the
-    slate is consumed with satisfaction-proportional watch time, and the
-    consumed items update familiarity state and the exposure counters.
+    Pools are scored with the session's noise, ranked by the policy, the top
+    of the slate is consumed with satisfaction-proportional watch time, and
+    the consumed items update familiarity state and the exposure counters.
     """
     n_users = universe.n_users
-    streams = SessionStreams(
-        seed, session, n_users, universe.n_items, cfg, pool_cdf=pool_cdf
-    )
-    now = (cfg.start_day + session) * DAY
+    now = draws.now
     user_ids = np.arange(n_users, dtype=np.int64)
-    pools = streams.pools
+    pools = draws.pools
 
     feats = state.features_batch(user_ids, pools, now)
-    q = universe.quality_batch(pools)
+    q = draws.quality
     g = inflation.g_many(feats)
-    urps = q * g * np.exp(inflation.noise_sigma * streams.normals)
+    urps = q * g * draws.noise
 
-    m = min(cfg.candidate_sample_users, n_users)
-    if m > 0 and candidate_buffers is not None:
+    if candidates is not None:
         # every scored candidate for the first m users, before any ranking
         # cutoff: the selection-free view of the score-familiarity coupling
-        candidate_buffers.users.append(np.repeat(user_ids[:m], cfg.pool_size))
-        candidate_buffers.items.append(pools[:m].ravel())
-        candidate_buffers.timestamps.append(
-            np.full(m * cfg.pool_size, now, dtype=np.float64)
+        m = min(cfg.candidate_sample_users, n_users)
+        candidates.put(
+            draws.session,
+            users=np.repeat(user_ids[:m], cfg.pool_size),
+            items=pools[:m],
+            timestamps=np.full(m * cfg.pool_size, now),
+            watch_times=np.zeros(m * cfg.pool_size),
+            urps=urps[:m],
+            features=feats[:m],
+            quality=q[:m],
+            inflation=g[:m],
         )
-        candidate_buffers.watch_times.append(np.zeros(m * cfg.pool_size))
-        candidate_buffers.urps.append(urps[:m].ravel())
-        candidate_buffers.features.append(feats[:m].reshape(-1, feats.shape[-1]))
-        candidate_buffers.quality.append(q[:m].ravel())
-        candidate_buffers.inflation.append(g[:m].ravel())
 
     ctx = PolicyContext(state=state, universe=universe, now=now)
     order = policy.rank_batch(pools, urps, feats, ctx)
@@ -677,57 +739,69 @@ def step_session(
     items = np.take_along_axis(pools, consumed, axis=1)
     q_c = np.take_along_axis(q, consumed, axis=1)
     g_c = np.take_along_axis(g, consumed, axis=1)
-    urps_c = np.take_along_axis(urps, consumed, axis=1)
-    feats_c = np.take_along_axis(feats, consumed[:, :, None], axis=1)
     # realized engagement follows true satisfaction, not the rating signal:
     # the inflation carries into watch time only through wt_familiarity_weight
     satisfaction = q_c * g_c**cfg.wt_familiarity_weight
-    wt = cfg.wt_scale * satisfaction * streams.exps
+    wt = cfg.wt_scale * satisfaction * draws.exps
     ts = now + np.broadcast_to(np.arange(k, dtype=np.float64), (n_users, k))
 
-    buffers.users.append(np.repeat(user_ids, k))
-    buffers.items.append(items.ravel())
-    buffers.timestamps.append(ts.ravel())
-    buffers.watch_times.append(wt.ravel())
-    buffers.urps.append(urps_c.ravel())
-    buffers.features.append(feats_c.reshape(-1, feats.shape[-1]))
-    buffers.quality.append(q_c.ravel())
-    buffers.inflation.append(g_c.ravel())
+    log.put(
+        draws.session,
+        users=np.repeat(user_ids, k),
+        items=items,
+        timestamps=ts,
+        watch_times=wt,
+        urps=np.take_along_axis(urps, consumed, axis=1),
+        features=np.take_along_axis(feats, consumed[:, :, None], axis=1),
+        quality=q_c,
+        inflation=g_c,
+    )
 
     state.consume_batch(user_ids, items, np.ascontiguousarray(ts))
 
 
-def _buffers_to_log(
-    buffers: _LogBuffers, universe: Universe, schema: FeatureSchema
-) -> InteractionLog:
-    if not buffers.users:
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_f = np.empty(0, dtype=np.float64)
-        return InteractionLog(
-            schema=schema,
-            users=empty_i,
-            items=empty_i,
-            creators=empty_i,
-            timestamps=empty_f,
-            watch_times=empty_f,
-            urps=empty_f,
-            features=np.empty((0, schema.arity)),
-            true_quality=empty_f,
-            inflation=empty_f,
+def run_paired_arms(
+    universe: Universe,
+    policies: dict[str, Policy],
+    inflation: InflationSpec,
+    cfg: SessionConfig,
+    seed: int,
+) -> list[ArmResult]:
+    """Run every policy through the closed loop, all arms stepping together.
+
+    Each session's draws are built once and every arm steps against them in
+    policy order. Arms share nothing else, so each result equals a run of
+    that policy alone; one result per policy, in policy order.
+    """
+    if not policies:
+        return []
+    schema = inflation.schema()
+    n_users = universe.n_users
+    m = min(cfg.candidate_sample_users, n_users)
+    names = list(policies)
+    states = [SessionState(universe, inflation, cfg) for _ in names]
+    logs = [
+        _LogColumns(n_users * cfg.consume_top_k, cfg.sessions, schema.arity) for _ in names
+    ]
+    candidates = [
+        _LogColumns(m * cfg.pool_size, cfg.sessions, schema.arity) if m > 0 else None
+        for _ in names
+    ]
+    pool_cdf = cfg.pool_cdf(universe.n_items)
+    for session in range(cfg.sessions):
+        draws = SessionDraws.build(universe, inflation, cfg, session, seed, pool_cdf)
+        for name, state, log, cand in zip(names, states, logs, candidates):
+            step_session(universe, state, policies[name], inflation, cfg, draws, log, cand)
+    return [
+        ArmResult(
+            name=name,
+            log=log.to_log(universe, schema),
+            item_impressions=state.item_impressions,
+            user_creator_impressions=state.user_creator_impressions,
+            candidate_log=None if cand is None else cand.to_log(universe, schema),
         )
-    items = np.concatenate(buffers.items)
-    return InteractionLog(
-        schema=schema,
-        users=np.concatenate(buffers.users),
-        items=items,
-        creators=universe.item_creator[items],
-        timestamps=np.concatenate(buffers.timestamps),
-        watch_times=np.concatenate(buffers.watch_times),
-        urps=np.concatenate(buffers.urps),
-        features=np.concatenate(buffers.features),
-        true_quality=np.concatenate(buffers.quality),
-        inflation=np.concatenate(buffers.inflation),
-    )
+        for name, state, log, cand in zip(names, states, logs, candidates)
+    ]
 
 
 def run_arm(
@@ -739,29 +813,7 @@ def run_arm(
     name: str = "arm",
 ) -> ArmResult:
     """Run one policy through the full closed loop from a fresh state."""
-    state = SessionState(universe, inflation, cfg)
-    buffers = _LogBuffers()
-    candidate_buffers = _LogBuffers() if cfg.candidate_sample_users > 0 else None
-    pool_cdf = cfg.pool_cdf(universe.n_items)
-    for session in range(cfg.sessions):
-        step_session(
-            universe, state, policy, inflation, cfg, session, seed, buffers,
-            pool_cdf=pool_cdf, candidate_buffers=candidate_buffers,
-        )
-    schema = inflation.schema()
-    log = _buffers_to_log(buffers, universe, schema)
-    candidate_log = (
-        _buffers_to_log(candidate_buffers, universe, schema)
-        if candidate_buffers is not None
-        else None
-    )
-    return ArmResult(
-        name=name,
-        log=log,
-        item_impressions=state.item_impressions,
-        user_creator_impressions=state.user_creator_impressions,
-        candidate_log=candidate_log,
-    )
+    return run_paired_arms(universe, {name: policy}, inflation, cfg, seed)[0]
 
 
 def synthetic_training_log(

@@ -14,6 +14,7 @@ from famdebias.bucketizer import (
     quantile_cuts,
 )
 from famdebias.core import FeatureSchema, InteractionLog
+from famdebias.simulator import InflationSpec, Universe, synthetic_training_log
 
 SCHEMA_1 = FeatureSchema(
     names=("x",), kinds=("count",), monotonicity=("increasing-with-familiarity",)
@@ -203,6 +204,36 @@ def _manual_table(marginal_factors, marginal_counts, gm=1.0):
         marginal_counts=[np.asarray(c, dtype=np.int64) for c in marginal_counts],
         min_cell_count=10,
     )
+
+
+class TestFitRejectsBadLogs:
+    SPEC = InflationSpec.default()
+
+    @pytest.fixture
+    def log(self):
+        uni = Universe.build(users=20, items=200, creators=10, seed=3)
+        return synthetic_training_log(uni, self.SPEC, n=2000, seed=4)
+
+    def test_nan_feature_rejected_by_fit_edges(self, log):
+        # unchecked, a NaN leaves the feature without cuts: one bucket, silently
+        log.features[5, 1] = np.nan
+        with pytest.raises(ValueError, match="feature"):
+            fit_edges(log, self.SPEC.schema())
+
+    def test_nan_feature_rejected_by_fit_table(self, log):
+        edges = fit_edges(log, self.SPEC.schema())
+        log.features[5, 1] = np.nan
+        with pytest.raises(ValueError, match="feature"):
+            fit_table(log, edges)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_urps_rejected_by_fit_edges_and_fit_table(self, log, bad):
+        edges = fit_edges(log, self.SPEC.schema())
+        log.urps[7] = bad
+        with pytest.raises(ValueError, match="URPS"):
+            fit_edges(log, self.SPEC.schema())
+        with pytest.raises(ValueError, match="URPS"):
+            fit_table(log, edges)
 
 
 class TestLookup:

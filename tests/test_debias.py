@@ -17,6 +17,7 @@ from famdebias.debias import (
     factor_source,
     residual_correlation,
 )
+from famdebias.estimator import TrainConfig, train_xy
 from famdebias.policies import DebiasPolicy
 from famdebias.simulator import (
     ControlPolicy,
@@ -85,6 +86,25 @@ class TestDebiasScore:
             debias_one(0.0, 1.0, cfg)
         with pytest.raises(ValueError):
             debias_one(1.0, -2.0, cfg)
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError):
+            debias_scores(np.array([1.0, np.nan]), np.array([1.0, 1.0]), DebiasConfig())
+
+    def test_nan_factor_rejected(self):
+        with pytest.raises(ValueError):
+            debias_scores(np.array([1.0, 1.0]), np.array([np.nan, 1.0]), DebiasConfig())
+
+    def test_continuous_policy_rejects_nan_feature(self):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0.0, 5.0, size=(200, 1))
+        targets = 1.0 + 0.2 * x[:, 0]
+        model = train_xy(x, targets, SCHEMA_1, TrainConfig(max_epochs=2, batch_size=16))
+        policy = DebiasPolicy(model, DebiasConfig(mode="continuous"))
+        features = np.array([[[1.0], [np.nan], [3.0]]])
+        pools = np.array([[0, 1, 2]])
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            policy.rank_batch(pools, np.ones((1, 3)), features, None)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

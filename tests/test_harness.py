@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from famdebias import harness
 from famdebias.cli import main
 from famdebias.harness import (
     ConfigError,
@@ -44,7 +45,15 @@ def bundle_bytes(outdir: Path) -> dict:
     return {name: (outdir / name).read_bytes() for name in names}
 
 
-MALFORMED_CONFIGS = ("not-json", "calibration-feature", "inflation-feature", "boost-feature")
+MALFORMED_CONFIGS = (
+    "not-json",
+    "calibration-feature",
+    "inflation-feature",
+    "boost-feature",
+    "bucketizer-k-0",
+    "bucketizer-k-1",
+    "calibration-buckets-1",
+)
 
 
 def malformed_config_text(case: str, config: dict) -> str:
@@ -60,7 +69,16 @@ def malformed_config_text(case: str, config: dict) -> str:
         config["arms"].append(
             {"name": "boost", "policy": "static_boost", "params": {"feature": "nope"}}
         )
+    elif case.startswith("bucketizer-k-"):
+        config.setdefault("bucketizer", {})["k"] = int(case.rsplit("-", 1)[1])
+    elif case == "calibration-buckets-1":
+        config["metrics"]["calibration_buckets"] = 1
     return json.dumps(config)
+
+
+def fail_in_evaluate(*args, **kwargs):
+    """Stand-in for ``evaluate_results``: a failure after arms and artifacts exist."""
+    raise ValueError("evaluation failed")
 
 
 class TestConfigValidation:
@@ -163,27 +181,24 @@ class TestPipeline:
         for metric, ci in report["deltas"]["duplicate_control"].items():
             assert ci["ci_low"] <= 0.0 <= ci["ci_high"], metric
 
-    def test_stage_failure_keeps_partial_outputs(self, quick_config, tmp_path):
-        broken = json.loads(json.dumps(quick_config))
-        # one calibration bucket passes config parsing but fails in evaluate
-        broken["metrics"]["calibration_buckets"] = 1
+    def test_stage_failure_keeps_partial_outputs(self, quick_config, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "evaluate_results", fail_in_evaluate)
         outdir = tmp_path / "broken"
         with pytest.raises(StageError) as exc:
-            run_pipeline(broken, outdir)
+            run_pipeline(quick_config, outdir)
         assert exc.value.stage == "evaluate"
         failed = outdir / "failed"
         assert failed.is_dir()
         assert (failed / "artifacts" / "table.json").exists()
         assert not (outdir / "artifacts").exists()
 
-    def test_stage_failure_leaves_user_files_in_place(self, quick_config, tmp_path):
-        broken = json.loads(json.dumps(quick_config))
-        broken["metrics"]["calibration_buckets"] = 1
+    def test_stage_failure_leaves_user_files_in_place(self, quick_config, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "evaluate_results", fail_in_evaluate)
         outdir = tmp_path / "broken"
         outdir.mkdir()
         (outdir / "my_notes.txt").write_text("kept\n")
         with pytest.raises(StageError):
-            run_pipeline(broken, outdir)
+            run_pipeline(quick_config, outdir)
         assert (outdir / "my_notes.txt").read_text() == "kept\n"
         assert not (outdir / "failed" / "my_notes.txt").exists()
         assert (outdir / "failed" / "manifest.json").exists()

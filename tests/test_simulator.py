@@ -1,5 +1,6 @@
 """Closed-loop simulator: oracle identities, pairing, determinism, dynamics."""
 
+import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -7,9 +8,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from famdebias.harness import ExperimentConfig, run_arms
+from famdebias.harness import ExperimentConfig, run_arms, run_pipeline
 from famdebias.metrics import experiment_report, familiar_share_by_time_quartile
+from famdebias.policies import BoostRule, LogPopPolicy, QuotaRerankPolicy, StaticBoostPolicy
 from famdebias.simulator import (
     DAY,
     ControlPolicy,
@@ -20,6 +24,7 @@ from famdebias.simulator import (
     SessionStreams,
     Universe,
     run_arm,
+    run_paired_arms,
     sample_pool,
     synthetic_training_log,
 )
@@ -239,8 +244,6 @@ class TestStepAndConservation:
         assert res.item_impressions.sum() == uni.n_users * 4 * 8
 
     def test_pools_identical_sets_across_different_policies(self):
-        from famdebias.policies import LogPopPolicy
-
         uni = small_universe(seed=14)
         cfg = SessionConfig(
             sessions=4, pool_size=20, slate_size=6, consume_top_k=3,
@@ -301,6 +304,165 @@ class TestStepAndConservation:
         config["arms"] = []
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict(config)
+
+
+LOG_COLUMNS = (
+    "users", "items", "creators", "timestamps", "watch_times", "urps", "features",
+    "true_quality", "inflation",
+)
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def log_digest(log):
+    return digest(*(getattr(log, c) for c in LOG_COLUMNS))
+
+
+def assert_same_result(a, b):
+    for log_a, log_b in ((a.log, b.log), (a.candidate_log, b.candidate_log)):
+        assert (log_a is None) == (log_b is None)
+        for column in LOG_COLUMNS if log_a is not None else ():
+            x, y = getattr(log_a, column), getattr(log_b, column)
+            assert x.dtype == y.dtype and np.array_equal(x, y), column
+    assert np.array_equal(a.item_impressions, b.item_impressions)
+    assert np.array_equal(a.user_creator_impressions, b.user_creator_impressions)
+
+
+def policy_of(kind, slate_size):
+    if kind == "control":
+        return ControlPolicy()
+    if kind == "log_pop":
+        return LogPopPolicy(0.4)
+    if kind == "static_boost":
+        return StaticBoostPolicy(BoostRule("creator_affinity", 0.05, 1.3), SPEC.schema())
+    return QuotaRerankPolicy("item", {"high": 0.5}, slate_size)
+
+
+class TestPairedRunner:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        users=st.integers(1, 12),
+        items=st.integers(40, 200),
+        creators=st.integers(2, 12),
+        sessions=st.integers(1, 3),
+        pool_size=st.integers(2, 25),
+        slate_frac=st.floats(0.0, 1.0),
+        consume_frac=st.floats(0.0, 1.0),
+        candidate_users=st.integers(0, 4),
+        kinds=st.lists(
+            st.sampled_from(["control", "log_pop", "static_boost", "item_centric"]),
+            min_size=2, max_size=4,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_paired_arm_equals_its_run_alone(
+        self, users, items, creators, sessions, pool_size, slate_frac, consume_frac,
+        candidate_users, kinds, seed,
+    ):
+        # the draws do not depend on the arm: stepping arms together against
+        # one build of each session's draws changes no arm's result
+        slate_size = max(1, round(slate_frac * pool_size))
+        cfg = SessionConfig(
+            sessions=sessions, pool_size=pool_size, slate_size=slate_size,
+            consume_top_k=round(consume_frac * slate_size), pool_skew=0.5,
+            candidate_sample_users=candidate_users,
+        )
+        uni = Universe.build(users=users, items=items, creators=creators, seed=seed % 997)
+        policies = {f"{kind}_{i}": policy_of(kind, slate_size) for i, kind in enumerate(kinds)}
+        paired = run_paired_arms(uni, policies, SPEC, cfg, seed)
+        assert [r.name for r in paired] == list(policies)
+        for result, kind in zip(paired, kinds):
+            alone = run_arm(uni, policy_of(kind, slate_size), SPEC, cfg, seed, name=result.name)
+            assert_same_result(result, alone)
+
+    def test_pipeline_builds_session_streams_twice_per_session(self, monkeypatch, tmp_path):
+        # the control arm runs alone before the fit, every other arm after it
+        # against the same per-session draws
+        config = json.loads(
+            (Path(__file__).resolve().parent.parent / "configs" / "quick.json").read_text()
+        )
+        config["write_logs"] = False
+        built = []
+        original = SessionStreams.__init__
+
+        def counting(self, seed, session, *args, **kwargs):
+            built.append(session)
+            original(self, seed, session, *args, **kwargs)
+
+        monkeypatch.setattr(SessionStreams, "__init__", counting)
+        run_pipeline(config, tmp_path)
+        sessions = config["session"]["sessions"]
+        assert len(config["arms"]) > 2
+        assert sorted(built) == sorted(list(range(sessions)) * 2)
+
+    # digests measured with the arm-by-arm runner that built every session's
+    # draws once per arm (CPython 3.11.7, numpy 2.4.6, x86-64 Linux); the
+    # paired runner must reproduce them exactly
+    PINNED = {
+        (0, 3): {
+            "control": (
+                "2b37b66ec918db56ad5be4c1da9cec36ed3d8333ba95d9d4bdd0e7ff4ed9eef0",
+                "84715a21d46341f3d9dc475942bb7fedc3b0ce1677b366eb85362f78fd0b5168",
+                "1947c810a6d9d6f37d578a173d6d77a346b0db09c1199737ac93a7fc72da4988",
+            ),
+            "log_pop": (
+                "2b37b66ec918db56ad5be4c1da9cec36ed3d8333ba95d9d4bdd0e7ff4ed9eef0",
+                "84715a21d46341f3d9dc475942bb7fedc3b0ce1677b366eb85362f78fd0b5168",
+                "89c2b56e748602979bfb6f4cb33891a1b607e2b2d4c859e5057c5418d8e2e3de",
+            ),
+        },
+        (2, 50): {
+            "control": (
+                "2e91f895993ae805d16226504de4e438ae08471d826b74f95f4f0e5527866528",
+                "35c4f655ef056ada19f398a9e9ef4bd225dc954d5d3cbd77e40efb7c1719431a",
+                "6e108a495d0f9ce1fc5f7bd46505db9ffd93714910c105308e34629dd8efc6c9",
+            ),
+            "log_pop": (
+                "2e25d634733c726771a8f7eac822a1aab64f7ae90134705a4c357dc859b1421e",
+                "0f743c24c382701338f632c2731925992af193d5ddcebe3ee45ebc43b7a9e23e",
+                "be53eb4cfb6bb5c3ef98396575abfe70fc79bb572581009534241b0a259a3707",
+            ),
+        },
+    }
+
+    @pytest.mark.parametrize("consume_top_k,candidate_users", sorted(PINNED))
+    def test_logs_unchanged_without_consumption_and_with_candidates(
+        self, consume_top_k, candidate_users
+    ):
+        uni = small_universe(seed=12)
+        cfg = SessionConfig(
+            sessions=3, pool_size=15, slate_size=5, consume_top_k=consume_top_k,
+            candidate_sample_users=candidate_users,
+        )
+        results = run_paired_arms(
+            uni, {"control": ControlPolicy(), "log_pop": LogPopPolicy(0.4)}, SPEC, cfg, seed=6
+        )
+        m = min(candidate_users, uni.n_users)
+        arity = SPEC.schema().arity
+        for result in results:
+            for log, rows in (
+                (result.log, uni.n_users * consume_top_k * 3),
+                (result.candidate_log, m * 15 * 3),
+            ):
+                assert len(log) == rows
+                assert log.features.shape == (rows, arity)
+                for column in ("users", "items", "creators"):
+                    assert getattr(log, column).dtype == np.int64
+                for column in ("timestamps", "watch_times", "urps", "features",
+                               "true_quality", "inflation"):
+                    assert getattr(log, column).dtype == np.float64
+            assert (
+                log_digest(result.log),
+                log_digest(result.candidate_log),
+                digest(result.item_impressions, result.user_creator_impressions),
+            ) == self.PINNED[(consume_top_k, candidate_users)][result.name]
 
 
 class TestAmplification:
