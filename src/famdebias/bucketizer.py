@@ -64,13 +64,24 @@ class BucketEdges:
         return tuple(c.size + 1 for c in self.cuts)
 
     def assign_many(self, features: np.ndarray) -> np.ndarray:
-        """Bucket index per feature for each row; left-closed convention."""
+        """Bucket index per feature for each row; left-closed convention.
+
+        Raises ValueError on a non-finite feature value, which would
+        otherwise land in the top (NaN, +inf) or bottom (-inf) bucket.
+        """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim == 1:
             features = features.reshape(1, -1)
         if features.shape[1] != self.schema.arity:
             raise ValueError(
                 f"feature arity {features.shape[1]} != schema arity {self.schema.arity}"
+            )
+        finite = np.isfinite(features)
+        # count_nonzero is cheaper than all() on a one-request batch
+        if np.count_nonzero(finite) != finite.size:
+            row, col = np.argwhere(~finite)[0]
+            raise ValueError(
+                f"non-finite value of feature {self.schema.names[col]!r}, first in row {row}"
             )
         out = np.empty(features.shape, dtype=np.int64)
         for j, c in enumerate(self.cuts):

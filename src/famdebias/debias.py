@@ -23,10 +23,10 @@ MODES = ("discrete", "continuous")
 class DebiasConfig:
     """Correction policy: estimator mode, divisor floor, and strength.
 
-    ``floor`` is the absolute divisor floor; when None it resolves to
-    ``floor_fraction`` of the fitted artifact's global mean. ``strength``
-    in [0, 1] applies the factor as adj**strength; 0 disables the
-    correction exactly.
+    ``floor`` is the absolute floor on the estimated mean ``adj``; when
+    None it resolves to ``floor_fraction`` of the fitted artifact's global
+    mean. ``strength`` in [0, 1] divides by max(adj, floor)**strength; 0
+    disables the correction exactly, whatever the floor.
     """
 
     mode: str = "discrete"
@@ -63,7 +63,7 @@ def debias_scores(
     config: DebiasConfig,
     reference_mean: float = 1.0,
 ) -> np.ndarray:
-    """Corrected scores s / max(adj**strength, floor); strictly positive."""
+    """Corrected scores s / max(adj, floor)**strength; strictly positive."""
     scores = np.asarray(scores, dtype=np.float64)
     factors = np.asarray(factors, dtype=np.float64)
     # ~(x > 0) also catches NaN, for which every comparison is False
@@ -72,7 +72,7 @@ def debias_scores(
     if np.any(~(factors > 0)):
         raise ValueError("adjustment factors must be positive")
     eps = config.effective_floor(reference_mean)
-    return scores / np.maximum(factors**config.strength, eps)
+    return scores / np.maximum(factors, eps) ** config.strength
 
 
 def debias_log(

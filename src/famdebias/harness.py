@@ -119,12 +119,20 @@ class ExperimentConfig:
         }
         metric_defaults.update(metric_cfg)
         _check_feature_names(inflation, arms, metric_defaults)
+        # one bootstrap replicate, like none, gives every delta a zero-width CI
         for where, count in (
             ("bucketizer.k", bucket_cfg["k"]),
             ("metrics.calibration_buckets", int(metric_defaults["calibration_buckets"])),
+            ("metrics.replicates", int(metric_defaults["replicates"])),
         ):
             if count < 2:
                 raise ConfigError(f"{where} must be at least 2, got {count}")
+        percentile = float(metric_defaults["emerging_percentile"])
+        if not (0.0 <= percentile <= 100.0):
+            raise ConfigError(f"metrics.emerging_percentile must be in [0, 100], got {percentile}")
+        window = float(metric_defaults["window_days"])
+        if not (np.isfinite(window) and window > 0):
+            raise ConfigError(f"metrics.window_days must be finite and positive, got {window}")
         return cls(
             universe=universe,
             inflation=inflation,

@@ -124,6 +124,20 @@ class TestAssignCell:
         with pytest.raises(ValueError):
             self.edges().assign_many(np.array([[1.0, 2.0, 3.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected_with_name_and_first_row(self, bad):
+        feats = np.array([[5.0, 0.0], [25.0, 3.0], [25.0, bad], [bad, 1.0]])
+        with pytest.raises(ValueError, match=r"feature 'y'.*row 2"):
+            self.edges().assign_many(feats)
+
+    def test_nan_lookup_rejected_instead_of_top_bucket(self):
+        log = make_log(
+            np.column_stack([np.arange(40.0), np.arange(40.0) % 7]), np.ones(40), SCHEMA_2
+        )
+        table = fit_table(log, fit_edges(log, SCHEMA_2, k=3), min_cell_count=1)
+        with pytest.raises(ValueError, match=r"feature 'x'.*row 0"):
+            lookup_many(table, np.array([[np.nan, 1.0]]))
+
     def test_fit_edges_records_constant_features(self):
         log = make_log(
             np.column_stack([np.arange(40.0), np.full(40, 3.3)]),

@@ -1,6 +1,7 @@
 """Score correction, slate ranking, and decorrelation."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from famdebias.bucketizer import fit_edges, fit_table
 from famdebias.cli import main
 from famdebias.core import FeatureSchema, InteractionLog
 from famdebias.debias import (
+    MODES,
     DebiasConfig,
     debias_log,
     debias_scores,
@@ -26,6 +28,7 @@ from famdebias.simulator import (
     SessionConfig,
     Universe,
     run_arm,
+    run_paired_arms,
 )
 
 SCHEMA_1 = FeatureSchema(
@@ -132,6 +135,29 @@ def rank_slate_file(tmp_path, table, rows, strength=1.0):
         "--strength", str(strength), "--in", str(slate_path), "--out", str(out_path),
     ]) == 0
     return [json.loads(line) for line in out_path.read_text().splitlines()]
+
+
+class TestNonFiniteSlate:
+    def test_discrete_policy_rejects_nan_feature(self):
+        table = fit_simple_table({0.0: (1.0, 50), 5.0: (2.0, 50)})
+        feats = np.array([[[0.0], [np.nan], [5.0]]])
+        with pytest.raises(ValueError, match=r"feature 'x'.*row 1"):
+            DebiasPolicy(table, DebiasConfig()).rank_batch(None, np.ones((1, 3)), feats, None)
+
+    def test_discrete_cli_exits_2_on_nan_feature(self, tmp_path):
+        table = fit_simple_table({0.0: (1.0, 50), 5.0: (2.0, 50)})
+        table_path, slate_path = tmp_path / "table.json", tmp_path / "slate.jsonl"
+        table.save(table_path)
+        slate_path.write_text(
+            '{"item_id": "a", "creator_id": "c", "urps": 2.0, "familiarity": {"x": 1.0}}\n'
+            '{"item_id": "b", "creator_id": "c", "urps": 3.0, "familiarity": {"x": NaN}}\n'
+        )
+        out_path = tmp_path / "ranked.jsonl"
+        assert main([
+            "debias", "--mode", "discrete", "--table", str(table_path),
+            "--in", str(slate_path), "--out", str(out_path),
+        ]) == 2
+        assert not out_path.exists()
 
 
 class TestRankScore:
@@ -269,6 +295,76 @@ class TestMeanOnePerCell:
         for cell in np.unique(cells):
             sel = cells == cell
             assert abs(debiased[sel].mean() - 1.0) <= 1e-9
+
+
+SIM_SPEC = InflationSpec(
+    features=(
+        FeatureSpec("item_watch_count", "count", 0.6),
+        FeatureSpec("days_since_last_watch", "recency", 0.4),
+        FeatureSpec("creator_affinity", "affinity", 0.3),
+    ),
+    noise_sigma=0.2,
+)
+
+small_universes = st.fixed_dictionaries({
+    "users": st.integers(2, 12),
+    "items": st.integers(40, 200),
+    "creators": st.integers(2, 12),
+    "sessions": st.integers(2, 4),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def small_run(users, items, creators, sessions, seed):
+    """(universe, session config, control log) of a random small closed loop."""
+    uni = Universe.build(users=users, items=items, creators=creators, seed=seed % 997)
+    cfg = SessionConfig(sessions=sessions, pool_size=20, slate_size=8, consume_top_k=4)
+    return uni, cfg, run_arm(uni, ControlPolicy(), SIM_SPEC, cfg, seed).log
+
+
+class TestPaperInvariants:
+    @settings(max_examples=30, deadline=None)
+    @given(universe=small_universes, k=st.integers(2, 6))
+    def test_exact_factors_give_mean_one_per_cell_and_keep_cell_order(self, universe, k):
+        _, _, log = small_run(**universe)
+        edges = fit_edges(log, SIM_SPEC.schema(), k=k)
+        exact = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=None,
+                          min_cell_count=0)
+        debiased, _ = debias_log(log, exact, DebiasConfig(floor=1e-12))
+        codes = np.ravel_multi_index(edges.assign_many(log.features).T, edges.dims)
+        sums = np.bincount(codes, weights=debiased)
+        counts = np.bincount(codes)
+        populated = counts > 0
+        assert np.abs(sums[populated] / counts[populated] - 1.0).max() <= 1e-9
+        # within a cell, a higher raw score never gets a lower corrected score
+        order = np.lexsort((log.urps, codes))
+        same_cell = codes[order][1:] == codes[order][:-1]
+        raw, corrected = log.urps[order], debiased[order]
+        rises = same_cell & (raw[1:] > raw[:-1])
+        assert np.all(corrected[1:][rises] >= corrected[:-1][rises])
+
+    @settings(max_examples=15, deadline=None)
+    @given(universe=small_universes, floor_fraction=st.floats(1e-3, 100.0))
+    def test_strength_zero_is_the_identity_in_both_modes(self, universe, floor_fraction):
+        uni, cfg, log = small_run(**universe)
+        schema = SIM_SPEC.schema()
+        table = fit_table(log, fit_edges(log, schema, k=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = train_xy(log.features, log.urps, schema,
+                             TrainConfig(max_epochs=2, batch_size=16))
+        artifacts = {"discrete": table, "continuous": model}
+        policies = {"control": ControlPolicy()}
+        for mode in MODES:
+            config = DebiasConfig(mode=mode, floor_fraction=floor_fraction, strength=0.0)
+            debiased, _ = debias_log(log, artifacts[mode], config)
+            assert np.array_equal(debiased, log.urps)
+            policies[mode] = DebiasPolicy(artifacts[mode], config)
+        control, *treated = run_paired_arms(uni, policies, SIM_SPEC, cfg, universe["seed"])
+        for result in treated:
+            for column in ("users", "items", "timestamps", "watch_times", "urps", "features"):
+                assert np.array_equal(getattr(result.log, column), getattr(control.log, column))
+            assert np.array_equal(result.item_impressions, control.item_impressions)
 
 
 class TestResidualCorrelation:

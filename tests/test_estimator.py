@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from famdebias.core import FeatureSchema
 from famdebias.estimator import (
@@ -11,6 +14,9 @@ from famdebias.estimator import (
     Normalizer,
     RegressorModel,
     TrainConfig,
+    _forward_pass,
+    _sigmoid,
+    _softplus,
     backward,
     forward,
     gradient_check,
@@ -60,6 +66,93 @@ def random_model(n_inputs: int, seed: int) -> RegressorModel:
         identity_normalizer(n_inputs), weights, biases,
         ["softplus", "softplus", "softplus"],
     )
+
+
+def bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Reference: the boolean-mask scatter form of the logistic function."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
+kernel_inputs = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+    elements=st.one_of(
+        st.floats(-745.0, 745.0), st.floats(-40.0, 40.0), st.sampled_from(SPECIAL)
+    ),
+)
+
+
+class TestKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_inputs)
+    def test_softplus_matches_logaddexp(self, x):
+        got = _softplus(x)
+        with np.errstate(invalid="ignore"):
+            want = np.logaddexp(0.0, x)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got[np.isinf(want)], want[np.isinf(want)])
+        finite = np.isfinite(want)
+        # 4.5e-16 relative; below the smallest normal float the spacing is
+        # absolute, and the two may differ in the last subnormal bit
+        tol = np.maximum(4.5e-16 * want[finite], np.spacing(0.0))
+        assert np.all(np.abs(got[finite] - want[finite]) <= tol)
+
+    def test_softplus_special_values(self):
+        x = np.array([0.0, -0.0, 700.0, -700.0, np.inf, -np.inf])
+        got = _softplus(x)
+        assert got[:2].tolist() == [np.log(2.0)] * 2
+        assert got[2] == 700.0 and got[4] == np.inf and got[5] == 0.0
+        assert abs(got[3] - np.logaddexp(0.0, -700.0)) <= 4.5e-16 * got[3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_inputs)
+    def test_softplus_in_place_equals_out_of_place(self, x):
+        fresh = _softplus(x)
+        buf = x.copy()
+        assert _softplus(buf, out=buf) is buf
+        assert np.array_equal(bits(buf), bits(fresh))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_inputs)
+    def test_sigmoid_equals_masked_reference(self, x):
+        assert np.array_equal(bits(_sigmoid(x)), bits(masked_sigmoid(x)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 300),
+        hidden=st.lists(st.integers(1, 40), min_size=0, max_size=3),
+        activation=st.sampled_from(["softplus", "tanh", "identity"]),
+    )
+    def test_inference_pass_equals_training_pass(self, seed, rows, hidden, activation):
+        rng = np.random.default_rng(seed)
+        sizes = [3, *hidden, 1]
+        model = RegressorModel(
+            Normalizer(log1p_mask=np.array([True, False, False]),
+                       mean=rng.normal(size=3), std=rng.uniform(0.5, 2.0, 3)),
+            [rng.normal(0, 1.5, (a, b)) for a, b in zip(sizes, sizes[1:])],
+            [rng.normal(0, 1.0, b) for b in sizes[1:]],
+            [activation] * len(hidden) + ["softplus"],
+            output_scale=float(rng.uniform(0.1, 5.0)),
+        )
+        feats = np.column_stack([
+            rng.integers(0, 50, rows), rng.uniform(0, 365, rows), rng.uniform(0, 1, rows)
+        ]).astype(np.float64)
+        x = model.normalizer.apply(feats)
+        out, pre, post = _forward_pass(model, x)
+        assert len(pre) == len(sizes) - 1 and len(post) == len(sizes)
+        want = np.maximum(out * model.output_scale, 1e-300)
+        assert np.array_equal(bits(forward(model, feats)), bits(want))
 
 
 class TestNormalize:

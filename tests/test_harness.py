@@ -53,6 +53,11 @@ MALFORMED_CONFIGS = (
     "bucketizer-k-0",
     "bucketizer-k-1",
     "calibration-buckets-1",
+    "replicates-0",
+    "replicates-1",
+    "emerging-percentile-150",
+    "window-days--1",
+    "window-days-inf",
 )
 
 
@@ -73,6 +78,12 @@ def malformed_config_text(case: str, config: dict) -> str:
         config.setdefault("bucketizer", {})["k"] = int(case.rsplit("-", 1)[1])
     elif case == "calibration-buckets-1":
         config["metrics"]["calibration_buckets"] = 1
+    elif case.startswith("replicates-"):
+        config["metrics"]["replicates"] = int(case.rsplit("-", 1)[1])
+    elif case == "emerging-percentile-150":
+        config["metrics"]["emerging_percentile"] = 150
+    elif case.startswith("window-days-"):
+        config["metrics"]["window_days"] = float(case.split("-", 2)[2])
     return json.dumps(config)
 
 
