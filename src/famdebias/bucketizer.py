@@ -192,7 +192,14 @@ class AdjustmentTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AdjustmentTable":
+        """Rebuild a table; a stored schema digest must match its edges' schema."""
         edges = BucketEdges.from_dict(d["edges"])
+        digest = d.get("schema_digest", "")
+        if digest and digest != edges.schema.digest():
+            raise ValueError(
+                f"table schema digest {digest} does not match its edges' schema "
+                f"({edges.schema.digest()})"
+            )
         dims = edges.dims
         gm = float(d["global_mean"])
         m = float(d["smoothing_prior_weight"])
@@ -215,7 +222,7 @@ class AdjustmentTable:
             marginal_factors=[np.asarray(x, dtype=np.float64) for x in d["marginal_factors"]],
             marginal_counts=[np.asarray(x, dtype=np.int64) for x in d["marginal_counts"]],
             min_cell_count=int(d["min_cell_count"]),
-            schema_digest=d.get("schema_digest", ""),
+            schema_digest=digest,
         )
 
     def save(self, path: str | Path) -> None:

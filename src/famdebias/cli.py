@@ -105,13 +105,29 @@ def _cmd_fit(args) -> int:
 
 
 def _resolve_schema(args, table, model) -> FeatureSchema:
-    if args.schema:
-        return FeatureSchema.load(args.schema)
+    """The ``--schema`` file, else the schema the artifacts were fitted on.
+
+    A ``--schema`` that differs from an artifact's fitted schema is a
+    configuration error: its features would be bucketed or normalized as
+    the wrong columns.
+    """
+    fitted = []
     if table is not None:
-        return table.edges.schema
+        fitted.append(("table", table.edges.schema))
     if model is not None and "schema" in model.metadata:
-        return FeatureSchema.from_dict(model.metadata["schema"])
-    raise ConfigError("no schema available: pass --schema")
+        fitted.append(("model", FeatureSchema.from_dict(model.metadata["schema"])))
+    if not args.schema:
+        if not fitted:
+            raise ConfigError("no schema available: pass --schema")
+        return fitted[0][1]
+    schema = FeatureSchema.load(args.schema)
+    for artifact, other in fitted:
+        if other.digest() != schema.digest():
+            raise ConfigError(
+                f"--schema {args.schema} (digest {schema.digest()}) is not the schema "
+                f"the {artifact} was fitted on (digest {other.digest()})"
+            )
+    return schema
 
 
 def _cmd_debias(args) -> int:

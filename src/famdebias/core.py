@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -185,64 +186,138 @@ def validate_log(log: InteractionLog) -> InteractionLog:
     return log
 
 
+# Rows per block of the JSONL codec: the writer formats and writes one block
+# per call, and the reader turns one block of parsed lines into arrays.
+_BLOCK_ROWS = 1024
+
+_ORACLE = ("true_quality", "inflation")
+
+# The writer's compact encoder: the bytes of json.dumps(obj, separators=(",", ":")).
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _encode_column(column: np.ndarray) -> list[str]:
+    """The JSON token of every entry of one block of a column.
+
+    Numbers and booleans go through one encoder call for the whole block,
+    which writes floats with ``float.__repr__`` and non-finite values as
+    ``NaN``/``Infinity``/``-Infinity``; none of these tokens holds a comma.
+    Other ids are encoded one by one.
+    """
+    if column.dtype.kind in "biuf":
+        return _encode(column.tolist())[1:-1].split(",")
+    values = column.tolist()
+    if column.dtype.kind == "O":
+        values = [v.item() if hasattr(v, "item") else v for v in values]
+    return list(map(_encode, values))
+
+
 def write_jsonl(log: InteractionLog, path: str | Path) -> None:
-    """Write one JSON object per record; oracle columns included when present."""
-    schema = log.schema
-    names = schema.names
+    """Write one JSON object per record; oracle columns included when present.
+
+    Each line is exactly ``json.dumps(record, separators=(",", ":"))``; the
+    records are formatted column by column, one block of rows at a time.
+    """
+    def field(name: str) -> str:
+        return _encode(name).replace("%", "%%") + ":%s"
+
+    optional = [(name, column) for name, column in
+                zip(_ORACLE, (log.true_quality, log.inflation)) if column is not None]
+    row_format = "{%s}\n" % ",".join([
+        *map(field, ("user_id", "item_id", "creator_id", "timestamp", "watch_time", "urps")),
+        _encode("familiarity") + ":{" + ",".join(map(field, log.schema.names)) + "}",
+        *(field(name) for name, _ in optional),
+    ])
+    columns = [log.users, log.items, log.creators, log.timestamps, log.watch_times, log.urps,
+               *log.features.T, *(column for _, column in optional)]
     with open(path, "w") as fh:
-        for i in range(len(log)):
-            obj = {
-                "user_id": log.users[i].item() if hasattr(log.users[i], "item") else log.users[i],
-                "item_id": log.items[i].item() if hasattr(log.items[i], "item") else log.items[i],
-                "creator_id": log.creators[i].item() if hasattr(log.creators[i], "item") else log.creators[i],
-                "timestamp": float(log.timestamps[i]),
-                "watch_time": float(log.watch_times[i]),
-                "urps": float(log.urps[i]),
-                "familiarity": {n: float(v) for n, v in zip(names, log.features[i])},
-            }
-            if log.true_quality is not None:
-                obj["true_quality"] = float(log.true_quality[i])
-            if log.inflation is not None:
-                obj["inflation"] = float(log.inflation[i])
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        for start in range(0, len(log), _BLOCK_ROWS):
+            tokens = [_encode_column(c[start:start + _BLOCK_ROWS]) for c in columns]
+            fh.write("".join(map(row_format.__mod__, zip(*tokens))))
+
+
+def _join_blocks(blocks: list[np.ndarray]) -> np.ndarray:
+    """One array from per-block arrays, typed as if converted in one call."""
+    if len({b.dtype.kind for b in blocks}) > 1:
+        return np.asarray([v for b in blocks for v in b.tolist()])
+    return np.concatenate(blocks)
 
 
 def read_jsonl(path: str | Path, schema: FeatureSchema) -> InteractionLog:
-    users, items, creators = [], [], []
-    ts, wt, urps = [], [], []
-    feats: list[tuple] = []
-    quality: list[float] = []
-    inflation: list[float] = []
+    """Read a log written by ``write_jsonl`` (or by hand) and validate it.
+
+    Blank lines are skipped. A line that is not a JSON object, or whose
+    values do not convert, raises ``ValueError`` naming the file and the
+    1-based line; a missing key raises ``KeyError`` the same way. The
+    oracle columns come as a pair on every record or on none. Lines are
+    decoded one block at a time into column arrays.
+    """
     names = schema.names
+    id_blocks: tuple[list, list, list] = ([], [], [])
+    value_blocks, oracle_blocks = [], []
+    rows = 0
+    first_bare = None   # (row, line, missing keys) of the first record without the oracle pair
+    one_sided = False   # some record carries only one of the oracle columns
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            users.append(obj["user_id"])
-            items.append(obj["item_id"])
-            creators.append(obj["creator_id"])
-            ts.append(float(obj["timestamp"]))
-            wt.append(float(obj["watch_time"]))
-            urps.append(float(obj["urps"]))
-            fam = obj["familiarity"]
-            feats.append(tuple(float(fam[n]) for n in names))
-            if "true_quality" in obj:
-                quality.append(float(obj["true_quality"]))
-            if "inflation" in obj:
-                inflation.append(float(obj["inflation"]))
-    n = len(urps)
-    has_oracle = len(quality) == n and len(inflation) == n and n > 0
+        lines = enumerate(fh, 1)
+        while chunk := list(islice(lines, _BLOCK_ROWS)):
+            ids, values, oracle = [], [], []
+            for lineno, line in chunk:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                    if type(obj) is not dict:
+                        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+                    fam = obj["familiarity"]
+                    ids.append((obj["user_id"], obj["item_id"], obj["creator_id"]))
+                    values.append((
+                        float(obj["timestamp"]), float(obj["watch_time"]), float(obj["urps"]),
+                        *[float(fam[n]) for n in names],
+                    ))
+                    if "true_quality" in obj and "inflation" in obj:
+                        oracle.append((float(obj["true_quality"]), float(obj["inflation"])))
+                    else:
+                        one_sided = one_sided or "true_quality" in obj or "inflation" in obj
+                        if first_bare is None:
+                            first_bare = (rows, lineno, [k for k in _ORACLE if k not in obj])
+                except KeyError as exc:
+                    raise KeyError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from None
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"{path}: line {lineno}: invalid JSON: {exc.msg} (column {exc.colno})"
+                    ) from None
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                rows += 1
+            if ids:
+                for blocks, column in zip(id_blocks, zip(*ids)):
+                    blocks.append(np.asarray(column))
+                value_blocks.append(np.asarray(values, dtype=np.float64))
+            if oracle:
+                oracle_blocks.append(np.asarray(oracle, dtype=np.float64))
+    if first_bare is not None and (oracle_blocks or one_sided):
+        row, lineno, missing = first_bare
+        raise LogValidationError([(row, (
+            f"line {lineno}: no {' or '.join(missing)}; the oracle columns "
+            "true_quality and inflation must be on every record or on none"
+        ))])
+    values = (np.concatenate(value_blocks) if value_blocks
+              else np.empty((0, 3 + schema.arity)))
+    oracle = np.concatenate(oracle_blocks) if oracle_blocks else None
+    users, items, creators = (
+        _join_blocks(blocks) if blocks else np.asarray([]) for blocks in id_blocks
+    )
     return validate_log(InteractionLog(
         schema=schema,
-        users=np.asarray(users),
-        items=np.asarray(items),
-        creators=np.asarray(creators),
-        timestamps=np.asarray(ts, dtype=np.float64),
-        watch_times=np.asarray(wt, dtype=np.float64),
-        urps=np.asarray(urps, dtype=np.float64),
-        features=np.asarray(feats, dtype=np.float64).reshape(n, schema.arity),
-        true_quality=np.asarray(quality) if has_oracle else None,
-        inflation=np.asarray(inflation) if has_oracle else None,
+        users=users,
+        items=items,
+        creators=creators,
+        timestamps=values[:, 0].copy(),
+        watch_times=values[:, 1].copy(),
+        urps=values[:, 2].copy(),
+        features=values[:, 3:].copy(),
+        true_quality=None if oracle is None else oracle[:, 0].copy(),
+        inflation=None if oracle is None else oracle[:, 1].copy(),
     ))

@@ -119,8 +119,12 @@ class Normalizer:
         x = np.atleast_2d(features).copy()
         if x.shape[1] != self.mean.size:
             raise ValueError(f"feature arity {x.shape[1]} != normalizer arity {self.mean.size}")
-        x[:, self.log1p_mask] = np.log1p(x[:, self.log1p_mask])
-        x = (x - self.mean) / self.std
+        # in place on the one copy; the same operations as (log1p(x) - mean) / std
+        for j, is_count in enumerate(self.log1p_mask.tolist()):
+            if is_count:
+                np.log1p(x[:, j], out=x[:, j])
+        x -= self.mean
+        x /= self.std
         return x[0] if single else x
 
 

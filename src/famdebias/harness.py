@@ -575,7 +575,7 @@ def emit_report(report: dict, outdir: str | Path) -> list[Path]:
 def _write_impressions(matrix: np.ndarray, path: Path) -> None:
     with open(path, "w") as fh:
         for row in matrix:
-            fh.write(",".join(str(int(x)) for x in row) + "\n")
+            fh.write(",".join(map(str, row.tolist())) + "\n")
 
 
 def read_impressions(path: str | Path) -> np.ndarray:

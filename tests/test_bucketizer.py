@@ -200,6 +200,17 @@ class TestFitTable:
         queries = rng.uniform(-1, 8, size=(50, 1))
         assert np.array_equal(lookup_many(back, queries), lookup_many(table, queries))
 
+    def test_schema_digest_checked_on_load(self):
+        log = make_log(np.arange(40.0), np.ones(40), SCHEMA_1)
+        table = fit_table(log, fit_edges(log, SCHEMA_1, k=2), 2.0, None, min_cell_count=5)
+        d = table.to_dict()
+        assert AdjustmentTable.from_dict(d).schema_digest == SCHEMA_1.digest()
+        d["schema_digest"] = SCHEMA_2.digest()
+        with pytest.raises(ValueError, match="schema digest"):
+            AdjustmentTable.from_dict(d)
+        d["schema_digest"] = ""
+        assert AdjustmentTable.from_dict(d).schema_digest == ""
+
 
 def _manual_table(marginal_factors, marginal_counts, gm=1.0):
     """Two-feature table with empty cells, for exercising the back-off chain."""

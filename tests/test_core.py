@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from famdebias import core
 from famdebias.core import (
     FeatureSchema,
     InteractionLog,
@@ -262,6 +264,172 @@ class TestJsonlRoundTrip:
         assert back.has_oracle
         assert np.array_equal(back.true_quality, log.true_quality)
         assert np.array_equal(back.inflation, log.inflation)
+
+
+def per_row_write_jsonl(log, path):
+    """Reference encoder: one ``json.dumps`` call per record.
+
+    ``write_jsonl`` formats whole blocks of rows at once; its output must be
+    byte-for-byte what this per-row encoder writes.
+    """
+    names = log.schema.names
+    with open(path, "w") as fh:
+        for i in range(len(log)):
+            obj = {
+                "user_id": log.users[i].item() if hasattr(log.users[i], "item") else log.users[i],
+                "item_id": log.items[i].item() if hasattr(log.items[i], "item") else log.items[i],
+                "creator_id": log.creators[i].item() if hasattr(log.creators[i], "item") else log.creators[i],
+                "timestamp": float(log.timestamps[i]),
+                "watch_time": float(log.watch_times[i]),
+                "urps": float(log.urps[i]),
+                "familiarity": {n: float(v) for n, v in zip(names, log.features[i])},
+            }
+            if log.true_quality is not None:
+                obj["true_quality"] = float(log.true_quality[i])
+            if log.inflation is not None:
+                obj["inflation"] = float(log.inflation[i])
+            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                  1e16, 1e-5, 0.1, 1.7976931348623157e308]
+tricky_text = st.one_of(
+    st.sampled_from(['%', '%s', '%%', '"', 'a"b', '\\', 'back\\slash', 'é', '汉字', '\n', '\x00x']),
+    st.text(),
+)
+id_values = {
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "str": tricky_text,
+    "float": st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+    "bool": st.booleans(),
+}
+BLOCK = core._BLOCK_ROWS
+
+
+@st.composite
+def any_log(draw):
+    """Logs of every id dtype and float value the encoder must reproduce.
+
+    Values are drawn into small pools and spread over up to two blocks of rows
+    by a seeded generator, so row counts on both sides of the block size stay
+    cheap to draw.
+    """
+    n = draw(st.sampled_from([0, 1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    arity = draw(st.integers(1, 3))
+    names = tuple(draw(st.lists(tricky_text, min_size=arity, max_size=arity, unique=True)))
+    schema = FeatureSchema(names, ("count",) * arity, ("increasing-with-familiarity",) * arity)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    float_pool = np.asarray(
+        draw(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                      min_size=1, max_size=12)), dtype=np.float64
+    )
+
+    def floats(*shape):
+        return rng.choice(float_pool, size=(n, *shape))
+
+    def ids():
+        kind = draw(st.sampled_from(sorted(id_values)))
+        pool = draw(st.lists(id_values[kind], min_size=1, max_size=8))
+        return np.asarray(pool)[rng.integers(0, len(pool), n)]
+
+    oracle = draw(st.sampled_from(["none", "both", "true_quality", "inflation"]))
+    return InteractionLog(
+        schema=schema, users=ids(), items=ids(), creators=ids(),
+        timestamps=floats(), watch_times=floats(), urps=floats(),
+        features=floats(arity),
+        true_quality=floats() if oracle in ("both", "true_quality") else None,
+        inflation=floats() if oracle in ("both", "inflation") else None,
+    )
+
+
+class TestBlockEncoder:
+    @settings(max_examples=120, deadline=None)
+    @given(log=any_log())
+    def test_bytes_equal_per_row_encoder(self, tmp_path_factory, log):
+        directory = tmp_path_factory.mktemp("enc")
+        write_jsonl(log, directory / "block.jsonl")
+        per_row_write_jsonl(log, directory / "row.jsonl")
+        assert (directory / "block.jsonl").read_bytes() == (directory / "row.jsonl").read_bytes()
+
+    def test_object_ids_and_numpy_scalars(self, tmp_path):
+        ids = np.empty(3, dtype=object)
+        ids[:] = [np.int64(4), "x%s", [1, {"a": 2}]]
+        log = make_log([{}, {}, {}])
+        log.users = ids
+        write_jsonl(log, tmp_path / "block.jsonl")
+        per_row_write_jsonl(log, tmp_path / "row.jsonl")
+        assert (tmp_path / "block.jsonl").read_bytes() == (tmp_path / "row.jsonl").read_bytes()
+
+
+def write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def good_line(**overrides):
+    row = dict(user_id=0, item_id=1, creator_id=2, timestamp=1.0, watch_time=1.0, urps=2.0,
+               familiarity={"watch_count": 1.0, "days_since": 3.0, "affinity": 0.5})
+    row.update(overrides)
+    return json.dumps(row)
+
+
+class TestReadErrors:
+    def test_partial_oracle_columns_rejected(self, tmp_path):
+        path = write_lines(tmp_path / "log.jsonl", [
+            good_line(true_quality=1.0, inflation=1.0),
+            good_line(true_quality=1.0, inflation=1.0),
+            good_line(),
+            good_line(true_quality=1.0, inflation=1.0),
+        ])
+        with pytest.raises(LogValidationError) as exc:
+            read_jsonl(path, SCHEMA)
+        assert [i for i, _ in exc.value.errors] == [2]
+        assert "true_quality" in exc.value.errors[0][1]
+
+    def test_one_oracle_column_rejected(self, tmp_path):
+        path = write_lines(tmp_path / "log.jsonl", [
+            good_line(true_quality=1.0), good_line(true_quality=1.0),
+        ])
+        with pytest.raises(LogValidationError) as exc:
+            read_jsonl(path, SCHEMA)
+        assert exc.value.errors[0][0] == 0
+        assert "inflation" in exc.value.errors[0][1]
+
+    def test_oracle_rows_across_blocks(self, tmp_path):
+        rows = [good_line(true_quality=1.5, inflation=2.0)] * (BLOCK + 5)
+        back = read_jsonl(write_lines(tmp_path / "log.jsonl", rows), SCHEMA)
+        assert back.has_oracle and len(back) == BLOCK + 5
+        assert np.all(back.true_quality == 1.5) and np.all(back.inflation == 2.0)
+        bare = rows + [good_line()]
+        with pytest.raises(LogValidationError) as exc:
+            read_jsonl(write_lines(tmp_path / "bare.jsonl", bare), SCHEMA)
+        assert [i for i, _ in exc.value.errors] == [BLOCK + 5]
+
+    def test_non_object_line_names_file_and_line(self, tmp_path):
+        path = write_lines(tmp_path / "log.jsonl", [good_line(), "", "[1,2]"])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3:")):
+            read_jsonl(path, SCHEMA)
+
+    def test_invalid_json_names_its_line(self, tmp_path):
+        path = write_lines(tmp_path / "log.jsonl", [good_line(), good_line(), '{"user_id": 0,'])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3:")):
+            read_jsonl(path, SCHEMA)
+
+    def test_bad_value_names_its_line(self, tmp_path):
+        path = write_lines(tmp_path / "log.jsonl", [good_line(), good_line(urps=None)])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2:")):
+            read_jsonl(path, SCHEMA)
+
+    def test_empty_file_reads_as_empty_log(self, tmp_path):
+        back = read_jsonl(write_lines(tmp_path / "log.jsonl", []), SCHEMA)
+        assert len(back) == 0 and back.features.shape == (0, 3)
+        assert not back.has_oracle
+
+    def test_mixed_id_types_match_whole_file_conversion(self, tmp_path):
+        rows = [good_line(user_id=k) for k in range(BLOCK)] + [good_line(user_id="u")]
+        back = read_jsonl(write_lines(tmp_path / "log.jsonl", rows), SCHEMA)
+        assert back.users.dtype == np.asarray([*range(BLOCK), "u"]).dtype
+        assert back.users.tolist() == np.asarray([*range(BLOCK), "u"]).tolist()
 
 
 class TestInteractionLog:

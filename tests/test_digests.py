@@ -12,6 +12,11 @@ follows 417afe1: it computes softplus as max(x, 0) + log1p(exp(-|x|))
 instead of ``np.logaddexp(0, x)``. The two differ in the last bit or two,
 which moves the trained weights and everything ranked with them. The
 table, the discrete slate and the simulator's own digests did not move.
+
+``LOG_DIGESTS`` pins the stage handoff: the arm logs and impression
+matrices that ``run_pipeline`` writes to ``logs/`` for ``quick.json``. They
+were measured at commit 3d80cee, before the column-wise JSONL encoder, and
+lock its output to the bytes of the per-row ``json.dumps`` encoder.
 """
 
 import hashlib
@@ -60,6 +65,17 @@ QUICK_DIGESTS = {
     "artifacts/table.json": "5606bcf1cd4b27b0139e02ff68a68453f6ab2b39f534b535dfd29ceb0000fa96",
 }
 
+LOG_DIGESTS = {
+    "control.jsonl": "9c57ba904353e8198ab5b994c980a153a5821ec9625e7284d3989a626613f8a2",
+    "control_impressions.csv": "33dfb8b31146096adb06dd0589f6cb85b26eea610375bda112045c71d38c830d",
+    "debias_continuous.jsonl": "6ae351a045499af085840abbcd1947d1569d61dab2053c3062963cc77aa05eb3",
+    "debias_continuous_impressions.csv": "d320721a0c184c4062b65420ce41678f91ec7400d11db7ff462183a5caf4373a",
+    "debias_discrete.jsonl": "85ed1b6ee0e1fc85daab536251fab689820950cedfc65f1d8309777994d7791d",
+    "debias_discrete_impressions.csv": "9999e8117483c6f85f67b1cd07a00407239f14803a5c7f6320c5d8f1a9f678b1",
+    "log_pop.jsonl": "b604d0ab23b9a2c4b0c84faf50415049aea17cc3a84d84d4aaa7dae2cdbd8221",
+    "log_pop_impressions.csv": "411ebdb0234ec0bfdbffc581fa08edbe08fdcae7bf7beaa6ee640a1d6f9dee35",
+}
+
 SLATE_DIGESTS = {
     "discrete": "472d020103e548d3cb17951c87a72839d34187b5b8db2b33f97c82fc2d4071b0",
     "continuous": "b37b37846c1ef7aba4c7df59aafee34e5b6e7fcbd1591f726c91422c96bf2fa7",
@@ -76,6 +92,15 @@ def quick_dir(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(QUICK_DIGESTS))
 def test_quick_bundle_digest(quick_dir, name):
     assert sha256_of(quick_dir / name) == QUICK_DIGESTS[name]
+
+
+def test_quick_logs_are_exactly_the_pinned_files(quick_dir):
+    assert sorted(p.name for p in (quick_dir / "logs").iterdir()) == sorted(LOG_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(LOG_DIGESTS))
+def test_quick_log_digest(quick_dir, name):
+    assert sha256_of(quick_dir / "logs" / name) == LOG_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))

@@ -192,6 +192,24 @@ class TestNormalize:
         with pytest.raises(ValueError):
             identity_normalizer(2).apply(np.array([1.0, 2.0, 3.0]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 40),
+           mask=st.lists(st.booleans(), min_size=1, max_size=5))
+    def test_bitwise_equal_to_reference_formula(self, seed, rows, mask):
+        rng = np.random.default_rng(seed)
+        arity = len(mask)
+        norm = Normalizer(log1p_mask=np.array(mask), mean=rng.normal(size=arity),
+                          std=rng.uniform(0.1, 3.0, arity))
+        feats = rng.uniform(0, 100, (rows, arity)) * rng.integers(0, 2, (rows, arity))
+        x = feats.copy()
+        x[:, norm.log1p_mask] = np.log1p(x[:, norm.log1p_mask])
+        want = (x - norm.mean) / norm.std
+        before = feats.copy()
+        assert np.array_equal(bits(norm.apply(feats)), bits(want))
+        assert np.array_equal(feats, before)
+        if rows:
+            assert np.array_equal(bits(norm.apply(feats[0])), bits(want[0]))
+
 
 class TestForward:
     def test_all_zero_weights_give_ln2(self):

@@ -308,6 +308,40 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "logs"), "--arms", "debias_discrete"]) == 2
 
+    @pytest.mark.parametrize("bad_line", ["[1,2]", '{"user_id": 0,'])
+    def test_malformed_log_line_exits_2_naming_the_line(self, quick_config, quick_run,
+                                                        tmp_path, capsys, bad_line):
+        _, outdir = quick_run
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(quick_config))
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        good = (outdir / "logs" / "control.jsonl").read_text().splitlines(keepends=True)
+        (logs / "control.jsonl").write_text("".join(good[:4]) + bad_line + "\n")
+        assert main(["fit", "--config", str(cfg_path), "--log", str(logs / "control.jsonl"),
+                     "--out", str(tmp_path / "fit")]) == 2
+        assert f"control.jsonl: line 5:" in capsys.readouterr().err
+        assert main(["evaluate", "--config", str(cfg_path), "--logs", str(logs),
+                     "--artifacts", str(outdir / "artifacts"),
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert f"control.jsonl: line 5:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_debias_with_another_schema_exits_2(self, quick_run, tmp_path, capsys, mode):
+        _, outdir = quick_run
+        schema = json.loads((outdir / "artifacts" / "schema.json").read_text())
+        schema["kinds"][2] = "count"
+        other = tmp_path / "schema.json"
+        other.write_text(json.dumps(schema))
+        artifact = {"discrete": ["--table", str(outdir / "artifacts" / "table.json")],
+                    "continuous": ["--model", str(outdir / "artifacts" / "model.json")]}[mode]
+        slate_path = Path(__file__).resolve().parent.parent / "docs" / "example_slate.jsonl"
+        out_path = tmp_path / "ranked.jsonl"
+        assert main(["debias", "--mode", mode, *artifact, "--schema", str(other),
+                     "--in", str(slate_path), "--out", str(out_path)]) == 2
+        assert "schema" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck", "--seed", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
