@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FeatureSchema, InteractionLog
+from .core import FeatureSchema, InteractionLog, load
 
 
 def quantile_cuts(values: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
@@ -99,7 +99,7 @@ class BucketEdges:
     @classmethod
     def from_dict(cls, d: dict) -> "BucketEdges":
         return cls(
-            schema=FeatureSchema.from_dict(d["schema"]),
+            schema=load(FeatureSchema, d["schema"], "edges.schema"),
             cuts=[np.asarray(c, dtype=np.float64) for c in d["cuts"]],
             nominal_k=int(d["nominal_k"]),
             constant_features=tuple(d["constant_features"]),

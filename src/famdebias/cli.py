@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bucketizer import AdjustmentTable
-from .core import FeatureSchema
+from .core import FeatureSchema, load, read_records
 from .debias import DebiasConfig, debias_scores, factor_source
 from .estimator import (
     RegressorModel,
@@ -45,7 +45,7 @@ EXIT_STAGE = 3
 
 def _load_config(path: str, seed_override: int | None = None) -> dict:
     raw = json.loads(Path(path).read_text())
-    if seed_override is not None:
+    if seed_override is not None and isinstance(raw, dict):
         raw["experiment_seed"] = seed_override
     return raw
 
@@ -60,8 +60,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config, args.seed)
-    cfg = ExperimentConfig.from_dict(config)
+    cfg = ExperimentConfig.from_dict(_load_config(args.config, args.seed))
     table = AdjustmentTable.load(args.table) if args.table else None
     model = RegressorModel.load(args.model) if args.model else None
     arm_names = args.arms.split(",") if args.arms else [a["name"] for a in cfg.arms]
@@ -84,8 +83,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    config = _load_config(args.config)
-    cfg = ExperimentConfig.from_dict(config)
+    cfg = ExperimentConfig.from_dict(_load_config(args.config))
     from .core import read_jsonl
 
     log = read_jsonl(args.log, cfg.schema)
@@ -115,7 +113,8 @@ def _resolve_schema(args, table, model) -> FeatureSchema:
     if table is not None:
         fitted.append(("table", table.edges.schema))
     if model is not None and "schema" in model.metadata:
-        fitted.append(("model", FeatureSchema.from_dict(model.metadata["schema"])))
+        stored = load(FeatureSchema, model.metadata["schema"], "model.metadata.schema")
+        fitted.append(("model", stored))
     if not args.schema:
         if not fitted:
             raise ConfigError("no schema available: pass --schema")
@@ -139,45 +138,39 @@ def _cmd_debias(args) -> int:
         raise ConfigError("continuous mode needs --model")
     artifact = table if args.mode == "discrete" else model
     schema = _resolve_schema(args, table, model)
-    config = DebiasConfig(mode=args.mode, strength=args.strength)
+    config = DebiasConfig(strength=args.strength)
 
-    with open(args.infile) as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
+    def candidate(row: dict) -> dict:
+        """One slate line with its values converted, in output key order."""
+        fam, signals = row["familiarity"], dict(row.get("quality_signals", {}))
+        return {
+            "item_id": row["item_id"],
+            "creator_id": row.get("creator_id", ""),
+            "urps": float(row["urps"]),
+            "familiarity": {n: float(fam[n]) for n in schema.names},
+            "quality_signals": {k: float(v) for k, v in signals.items()},
+        }
+
+    rows = [row for _, row in read_records(args.infile, candidate)]
     feats = np.asarray(
-        [[float(row["familiarity"][n]) for n in schema.names] for row in rows],
-        dtype=np.float64,
+        [list(row["familiarity"].values()) for row in rows], dtype=np.float64
     ).reshape(len(rows), schema.arity)
-    urps = np.asarray([float(row["urps"]) for row in rows], dtype=np.float64)
+    urps = np.asarray([row["urps"] for row in rows], dtype=np.float64)
     factors_of, ref_mean = factor_source(artifact)
     debiased = debias_scores(urps, factors_of(feats), config, ref_mean)
     # descending corrected score, ties broken by the string form of the item id
     order = np.lexsort((np.asarray([str(row["item_id"]) for row in rows]), -debiased))
     with open(args.outfile, "w") as fh:
         for i in order.tolist():
-            row, score = rows[i], float(debiased[i])
-            signals = row.get("quality_signals", {})
-            fh.write(
-                json.dumps(
-                    {
-                        "item_id": row["item_id"],
-                        "creator_id": row.get("creator_id", ""),
-                        "urps": float(urps[i]),
-                        "familiarity": dict(zip(schema.names, feats[i].tolist())),
-                        "quality_signals": {k: float(v) for k, v in signals.items()},
-                        "debiased_score": score,
-                        "final_score": score,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+            score = float(debiased[i])
+            record = {**rows[i], "debiased_score": score, "final_score": score}
+            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
     print(f"ranked {len(rows)} candidates -> {args.outfile}")
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
-    cfg = ExperimentConfig.from_dict(config)
+    cfg = ExperimentConfig.from_dict(_load_config(args.config))
     logs_dir = Path(args.logs)
     artifacts_dir = Path(args.artifacts)
     table = AdjustmentTable.load(artifacts_dir / "table.json")

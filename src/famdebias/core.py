@@ -1,15 +1,19 @@
-"""Domain data model, log validation, and JSON Lines i/o.
+"""Domain data model, log validation, JSON Lines i/o and the config loader.
 
 Everything downstream (bucketing, regression, correction, metrics) consumes
 the types defined here. The columnar ``InteractionLog`` is the one
 representation used for fitting and evaluation, with lossless conversion to
-and from JSON Lines files.
+and from JSON Lines files. ``load`` builds any frozen config dataclass from
+a JSON object, strictly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import types
+import typing
 from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
@@ -18,6 +22,79 @@ import numpy as np
 
 FEATURE_KINDS = ("count", "recency", "affinity")
 MONOTONICITY_HINTS = ("increasing-with-familiarity", "decreasing-with-familiarity")
+
+
+class ConfigError(ValueError):
+    """Invalid or incomplete configuration; the message names the dotted path."""
+
+
+# what a JSON value must be to load into a field of each scalar type
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false",
+             str: "a string", dict: "a JSON object"}
+
+
+def load(cls, raw, where: str = ""):
+    """Build the frozen dataclass ``cls`` from the JSON object ``raw``, strictly.
+
+    Fields load by their type hints: nested dataclasses, ``X | None``,
+    ``tuple[...]`` from an array, int, float (an int is accepted), bool, str
+    and dict. Unknown keys, missing required keys and wrong types raise
+    ``ConfigError`` naming the dotted path (``inflation.features[0].kind``),
+    as does a ``__post_init__`` ``ValueError``; one whose message starts
+    "<field>: " is reported at that field.
+    """
+    if type(raw) is not dict:
+        raise _mismatch(where or "config", "a JSON object", raw)
+    hints = typing.get_type_hints(cls)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = [key for key in raw if key not in fields]
+    if unknown:
+        raise ConfigError(f"{_join(where, unknown[0])}: unknown key")
+    kwargs = {}
+    for name, f in fields.items():
+        if name in raw:
+            kwargs[name] = _convert(hints[name], raw[name], _join(where, name))
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{_join(where, name)}: missing required key")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        name, sep, problem = str(exc).partition(": ")
+        if sep and name in fields:
+            raise ConfigError(f"{_join(where, name)}: {problem}") from None
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
+
+
+def _join(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _mismatch(where: str, expected: str, value) -> ConfigError:
+    return ConfigError(f"{where}: expected {expected}, got {json.dumps(value, default=repr)}")
+
+
+def _convert(hint, value, where: str):
+    if dataclasses.is_dataclass(hint):
+        return load(hint, value, where)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _convert(hint, value, where)
+    if origin is tuple:
+        if type(value) not in (list, tuple):
+            raise _mismatch(where, "a JSON array", value)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where}: expected {len(args)} entries, got {len(value)}")
+        return tuple(_convert(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if hint is float and type(value) is int:
+        return float(value)
+    if type(value) is not hint:
+        raise _mismatch(where, _EXPECTED[hint], value)
+    return value
 
 
 class LogValidationError(ValueError):
@@ -71,20 +148,12 @@ class FeatureSchema:
         payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureSchema":
-        return cls(
-            names=tuple(d["names"]),
-            kinds=tuple(d["kinds"]),
-            monotonicity=tuple(d["monotonicity"]),
-        )
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureSchema":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return load(cls, json.loads(Path(path).read_text()))
 
 
 class InteractionLog:
@@ -136,10 +205,6 @@ class InteractionLog:
 
     def feature_column(self, name: str) -> np.ndarray:
         return self.features[:, self.schema.index_of(name)]
-
-    def user_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Factorize user ids into dense codes; returns (unique_users, codes)."""
-        return np.unique(self.users, return_inverse=True)
 
     def subset(self, mask_or_index: np.ndarray) -> "InteractionLog":
         sel = mask_or_index
@@ -243,60 +308,72 @@ def _join_blocks(blocks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def read_records(path: str | Path, parse: typing.Callable[[dict], object]):
+    """Yield ``(line number, parse(obj))`` for each non-blank line of a JSON Lines file.
+
+    A line that is not a JSON object, or that ``parse`` cannot convert,
+    raises ``ValueError`` naming the file and the 1-based line; a missing
+    key raises ``KeyError`` the same way.
+    """
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                if type(obj) is not dict:
+                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+                record = parse(obj)
+            except KeyError as exc:
+                raise KeyError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from None
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}: line {lineno}: invalid JSON: {exc.msg} (column {exc.colno})"
+                ) from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            yield lineno, record
+
+
 def read_jsonl(path: str | Path, schema: FeatureSchema) -> InteractionLog:
     """Read a log written by ``write_jsonl`` (or by hand) and validate it.
 
-    Blank lines are skipped. A line that is not a JSON object, or whose
-    values do not convert, raises ``ValueError`` naming the file and the
-    1-based line; a missing key raises ``KeyError`` the same way. The
-    oracle columns come as a pair on every record or on none. Lines are
-    decoded one block at a time into column arrays.
+    Lines go through ``read_records`` and into column arrays one block at a
+    time. The oracle columns come as a pair on every record or on none.
     """
     names = schema.names
+
+    def parse(obj: dict) -> tuple:
+        fam = obj["familiarity"]
+        ids = (obj["user_id"], obj["item_id"], obj["creator_id"])
+        values = (float(obj["timestamp"]), float(obj["watch_time"]), float(obj["urps"]),
+                  *[float(fam[n]) for n in names])
+        if "true_quality" in obj and "inflation" in obj:
+            return ids, values, (float(obj["true_quality"]), float(obj["inflation"])), ()
+        return ids, values, None, [k for k in _ORACLE if k not in obj]
+
     id_blocks: tuple[list, list, list] = ([], [], [])
     value_blocks, oracle_blocks = [], []
     rows = 0
     first_bare = None   # (row, line, missing keys) of the first record without the oracle pair
     one_sided = False   # some record carries only one of the oracle columns
-    with open(path) as fh:
-        lines = enumerate(fh, 1)
-        while chunk := list(islice(lines, _BLOCK_ROWS)):
-            ids, values, oracle = [], [], []
-            for lineno, line in chunk:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    if type(obj) is not dict:
-                        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-                    fam = obj["familiarity"]
-                    ids.append((obj["user_id"], obj["item_id"], obj["creator_id"]))
-                    values.append((
-                        float(obj["timestamp"]), float(obj["watch_time"]), float(obj["urps"]),
-                        *[float(fam[n]) for n in names],
-                    ))
-                    if "true_quality" in obj and "inflation" in obj:
-                        oracle.append((float(obj["true_quality"]), float(obj["inflation"])))
-                    else:
-                        one_sided = one_sided or "true_quality" in obj or "inflation" in obj
-                        if first_bare is None:
-                            first_bare = (rows, lineno, [k for k in _ORACLE if k not in obj])
-                except KeyError as exc:
-                    raise KeyError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from None
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{path}: line {lineno}: invalid JSON: {exc.msg} (column {exc.colno})"
-                    ) from None
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
-                rows += 1
-            if ids:
-                for blocks, column in zip(id_blocks, zip(*ids)):
-                    blocks.append(np.asarray(column))
-                value_blocks.append(np.asarray(values, dtype=np.float64))
-            if oracle:
-                oracle_blocks.append(np.asarray(oracle, dtype=np.float64))
+    records = read_records(path, parse)
+    while chunk := list(islice(records, _BLOCK_ROWS)):
+        linenos, parsed = zip(*chunk)
+        ids, values, oracle, missing = zip(*parsed)
+        for blocks, column in zip(id_blocks, zip(*ids)):
+            blocks.append(np.asarray(column))
+        value_blocks.append(np.asarray(values, dtype=np.float64))
+        if None in oracle:
+            one_sided = one_sided or any(len(keys) == 1 for keys in missing)
+            if first_bare is None:
+                i = oracle.index(None)
+                first_bare = (rows + i, linenos[i], missing[i])
+            oracle = [pair for pair in oracle if pair is not None]
+        if oracle:
+            oracle_blocks.append(np.asarray(oracle, dtype=np.float64))
+        rows += len(chunk)
     if first_bare is not None and (oracle_blocks or one_sided):
         row, lineno, missing = first_bare
         raise LogValidationError([(row, (

@@ -21,28 +21,26 @@ MODES = ("discrete", "continuous")
 
 @dataclass(frozen=True)
 class DebiasConfig:
-    """Correction policy: estimator mode, divisor floor, and strength.
+    """Correction policy: divisor floor and strength.
 
     ``floor`` is the absolute floor on the estimated mean ``adj``; when
     None it resolves to ``floor_fraction`` of the fitted artifact's global
     mean. ``strength`` in [0, 1] divides by max(adj, floor)**strength; 0
-    disables the correction exactly, whatever the floor.
+    disables the correction exactly, whatever the floor. The estimator
+    mode is the fitted artifact's type (see ``factor_source``).
     """
 
-    mode: str = "discrete"
     floor: float | None = None
     floor_fraction: float = 0.05
     strength: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
         if self.floor is not None and self.floor <= 0:
-            raise ValueError("floor must be positive")
+            raise ValueError(f"floor: must be positive, got {self.floor}")
         if self.floor_fraction <= 0:
-            raise ValueError("floor fraction must be positive")
+            raise ValueError(f"floor_fraction: must be positive, got {self.floor_fraction}")
         if not (0.0 <= self.strength <= 1.0):
-            raise ValueError("strength must be in [0, 1]")
+            raise ValueError(f"strength: must be in [0, 1], got {self.strength}")
 
     def effective_floor(self, reference_mean: float) -> float:
         return self.floor if self.floor is not None else self.floor_fraction * reference_mean

@@ -80,20 +80,6 @@ class TrainConfig:
         if not (0 < self.validation_fraction <= 0.5):
             raise ValueError("validation fraction must be in (0, 0.5]")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(
-            hidden_sizes=tuple(d.get("hidden_sizes", (32, 16))),
-            activation=d.get("activation", "softplus"),
-            learning_rate=float(d.get("learning_rate", 1e-3)),
-            lr_decay=float(d.get("lr_decay", 1.0)),
-            batch_size=int(d.get("batch_size", 256)),
-            max_epochs=int(d.get("max_epochs", 50)),
-            patience=int(d.get("patience", 5)),
-            validation_fraction=float(d.get("validation_fraction", 0.1)),
-            seed=int(d.get("seed", 0)),
-        )
-
 
 @dataclass
 class Normalizer:

@@ -12,31 +12,27 @@ from __future__ import annotations
 import csv
 import json
 import shutil
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics
 from .bucketizer import AdjustmentTable, BucketEdges, fit_edges, fit_table
-from .core import FeatureSchema, InteractionLog, read_jsonl, write_jsonl
+from .core import ConfigError, FeatureSchema, InteractionLog, load, read_jsonl, write_jsonl
 from .debias import DebiasConfig, debias_log, residual_correlation
 from .estimator import RegressorModel, TrainConfig, train_xy
 from .metrics import MetricsReport, experiment_report
-from .policies import POLICY_NAMES, build_policy
+from .policies import POLICY_PARAMS, build_policy
 from .simulator import (
-    FEATURE_CATALOG,
     ArmResult,
     InflationSpec,
     SessionConfig,
     Universe,
+    UniverseConfig,
     run_arm,  # re-exported: callers run a single arm through harness.run_arm
     run_paired_arms,
 )
-
-
-class ConfigError(ValueError):
-    """Invalid or incomplete experiment configuration."""
 
 
 class StageError(RuntimeError):
@@ -46,183 +42,126 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-@dataclass
+@dataclass(frozen=True)
+class BucketizerConfig:
+    k: int = 5
+    smoothing_prior_weight: float = 10.0
+    clip_bounds: tuple[float, float] | None = None
+    min_cell_count: int = 50
+
+    def __post_init__(self) -> None:
+        if self.k < 2:
+            raise ValueError(f"k: must be at least 2, got {self.k}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class TrainSection(TrainConfig):
+    """The ``train`` section: the trainer's settings plus its row sample."""
+
+    seed: int = field()  # required here, unlike in TrainConfig
+    max_samples: int = 300_000
+    subsample_seed: int = 0
+
+    def trainer(self) -> TrainConfig:
+        """The trainer's settings alone, as the fitted model records them."""
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
+
+
+@dataclass(frozen=True)
+class MetricsConfig:
+    bootstrap_seed: int
+    window_days: float = 14.0
+    emerging_percentile: float = 10.0
+    replicates: int = 1000
+    calibration_feature: str = "creator_affinity"
+    distribution_feature: str = "creator_affinity"
+    calibration_buckets: int = 5
+
+    def __post_init__(self) -> None:
+        # one bootstrap replicate, like none, gives every delta a zero-width CI
+        for name in ("replicates", "calibration_buckets"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name}: must be at least 2, got {getattr(self, name)}")
+        if not (0.0 <= self.emerging_percentile <= 100.0):
+            raise ValueError(
+                f"emerging_percentile: must be in [0, 100], got {self.emerging_percentile}"
+            )
+        if not (np.isfinite(self.window_days) and self.window_days > 0):
+            raise ValueError(f"window_days: must be finite and positive, got {self.window_days}")
+
+
+@dataclass(frozen=True)
+class Arm:
+    """One arm as configured; ``params`` load into the policy's ``POLICY_PARAMS`` entry."""
+
+    name: str
+    policy: str
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ValueError("name: must not be empty")
+        if self.policy not in POLICY_PARAMS:
+            raise ValueError(f"policy: {self.policy!r} is not one of {list(POLICY_PARAMS)}")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    universe: dict
+    """An experiment file, one field per section.
+
+    ``arms`` stay as written, for the report's echo; each is checked
+    against ``Arm`` and its policy's parameters when the config loads.
+    """
+
+    universe: UniverseConfig
     inflation: InflationSpec
-    session: SessionConfig
     experiment_seed: int
-    arms: list[dict]
-    bucketizer: dict
-    train: TrainConfig
-    train_max_samples: int
-    train_subsample_seed: int
-    debias: DebiasConfig
-    metric_cfg: dict
-    write_logs: bool
+    arms: tuple[dict, ...]
+    train: TrainSection
+    metrics: MetricsConfig
+    session: SessionConfig = SessionConfig()
+    bucketizer: BucketizerConfig = BucketizerConfig()
+    debias: DebiasConfig = DebiasConfig()
+    write_logs: bool = True
+
+    def __post_init__(self) -> None:
+        names = self.schema.names
+        features = [
+            (f"metrics.{key}", getattr(self.metrics, key))
+            for key in ("calibration_feature", "distribution_feature")
+        ]
+        for i, raw in enumerate(self.arms):
+            arm = load(Arm, raw, f"arms[{i}]")
+            params = load(POLICY_PARAMS[arm.policy], arm.params, f"arms[{i}].params")
+            if getattr(params, "feature", None) is not None:
+                features.append((f"arms[{i}].params.feature", params.feature))
+        for where, feature in features:
+            if feature not in names:
+                raise ConfigError(f"{where}: {feature!r} is not a schema feature {list(names)}")
+        arm_names = [arm["name"] for arm in self.arms]
+        if len(set(arm_names)) != len(arm_names):
+            raise ConfigError(f"arms: arm names must be unique, got {arm_names}")
+        if not any(arm["policy"] == "control" for arm in self.arms):
+            raise ConfigError("arms: config needs a control arm")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        try:
-            universe = dict(raw["universe"])
-            if "seed" not in universe:
-                raise KeyError("universe.seed")
-            if "experiment_seed" not in raw:
-                raise KeyError("experiment_seed")
-            inflation = InflationSpec.from_dict(raw["inflation"])
-            session = SessionConfig.from_dict(raw.get("session", {}))
-            arms = list(raw["arms"])
-            train_raw = dict(raw.get("train", {}))
-            if "seed" not in train_raw:
-                raise KeyError("train.seed")
-            metric_cfg = dict(raw.get("metrics", {}))
-            if "bootstrap_seed" not in metric_cfg:
-                raise KeyError("metrics.bootstrap_seed")
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc}") from exc
-        if not arms:
-            raise ConfigError("config needs at least one arm")
-        names = [a.get("name") for a in arms]
-        if len(set(names)) != len(names) or any(not n for n in names):
-            raise ConfigError("arm names must be unique and non-empty")
-        if not any(a.get("policy") == "control" for a in arms):
-            raise ConfigError("config needs a control arm")
-        for arm in arms:
-            if arm.get("policy") not in POLICY_NAMES:
-                raise ConfigError(f"unknown policy {arm.get('policy')!r} in arm {arm.get('name')!r}")
-        debias_raw = dict(raw.get("debias", {}))
-        debias_cfg = DebiasConfig(
-            mode="discrete",
-            floor=debias_raw.get("floor"),
-            floor_fraction=float(debias_raw.get("floor_fraction", 0.05)),
-            strength=float(debias_raw.get("strength", 1.0)),
-        )
-        bucket_cfg = {
-            "k": int(raw.get("bucketizer", {}).get("k", 5)),
-            "smoothing_prior_weight": float(
-                raw.get("bucketizer", {}).get("smoothing_prior_weight", 10.0)
-            ),
-            "clip_bounds": (
-                tuple(raw["bucketizer"]["clip_bounds"])
-                if raw.get("bucketizer", {}).get("clip_bounds") is not None
-                else None
-            ),
-            "min_cell_count": int(raw.get("bucketizer", {}).get("min_cell_count", 50)),
-        }
-        metric_defaults = {
-            "window_days": 14.0,
-            "emerging_percentile": 10.0,
-            "replicates": 1000,
-            "calibration_feature": "creator_affinity",
-            "distribution_feature": "creator_affinity",
-            "calibration_buckets": 5,
-        }
-        metric_defaults.update(metric_cfg)
-        _check_feature_names(inflation, arms, metric_defaults)
-        # one bootstrap replicate, like none, gives every delta a zero-width CI
-        for where, count in (
-            ("bucketizer.k", bucket_cfg["k"]),
-            ("metrics.calibration_buckets", int(metric_defaults["calibration_buckets"])),
-            ("metrics.replicates", int(metric_defaults["replicates"])),
-        ):
-            if count < 2:
-                raise ConfigError(f"{where} must be at least 2, got {count}")
-        percentile = float(metric_defaults["emerging_percentile"])
-        if not (0.0 <= percentile <= 100.0):
-            raise ConfigError(f"metrics.emerging_percentile must be in [0, 100], got {percentile}")
-        window = float(metric_defaults["window_days"])
-        if not (np.isfinite(window) and window > 0):
-            raise ConfigError(f"metrics.window_days must be finite and positive, got {window}")
-        return cls(
-            universe=universe,
-            inflation=inflation,
-            session=session,
-            experiment_seed=int(raw["experiment_seed"]),
-            arms=arms,
-            bucketizer=bucket_cfg,
-            train=TrainConfig.from_dict(train_raw),
-            train_max_samples=int(train_raw.get("max_samples", 300_000)),
-            train_subsample_seed=int(train_raw.get("subsample_seed", 0)),
-            debias=debias_cfg,
-            metric_cfg=metric_defaults,
-            write_logs=bool(raw.get("write_logs", True)),
-        )
+        return load(cls, raw)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
     @property
     def control_name(self) -> str:
-        for arm in self.arms:
-            if arm["policy"] == "control":
-                return arm["name"]
-        raise ConfigError("no control arm")
+        return next(arm["name"] for arm in self.arms if arm["policy"] == "control")
 
     @property
     def schema(self) -> FeatureSchema:
         return self.inflation.schema()
 
-    def to_dict(self) -> dict:
-        return {
-            "universe": self.universe,
-            "inflation": asdict(self.inflation),
-            "session": asdict(self.session),
-            "experiment_seed": self.experiment_seed,
-            "arms": self.arms,
-            "bucketizer": {
-                "k": self.bucketizer["k"],
-                "smoothing_prior_weight": self.bucketizer["smoothing_prior_weight"],
-                "clip_bounds": (
-                    list(self.bucketizer["clip_bounds"])
-                    if self.bucketizer["clip_bounds"]
-                    else None
-                ),
-                "min_cell_count": self.bucketizer["min_cell_count"],
-            },
-            "train": {
-                **asdict(self.train),
-                "max_samples": self.train_max_samples,
-                "subsample_seed": self.train_subsample_seed,
-            },
-            "debias": {
-                "floor": self.debias.floor,
-                "floor_fraction": self.debias.floor_fraction,
-                "strength": self.debias.strength,
-            },
-            "metrics": self.metric_cfg,
-            "write_logs": self.write_logs,
-        }
-
-
-def _check_feature_names(inflation: InflationSpec, arms: list[dict], metric_cfg: dict) -> None:
-    """Reject feature names the simulator or the schema cannot resolve."""
-    unknown = [f.name for f in inflation.features if f.name not in FEATURE_CATALOG]
-    if unknown:
-        raise ConfigError(
-            f"inflation feature(s) {unknown} not in the simulator catalog {list(FEATURE_CATALOG)}"
-        )
-    names = inflation.schema().names
-    named = [
-        (f"metrics.{key}", metric_cfg[key])
-        for key in ("calibration_feature", "distribution_feature")
-    ] + [
-        (f"feature of arm {arm['name']!r}", arm["params"]["feature"])
-        for arm in arms
-        if arm["policy"] in ("static_boost", "user_centric") and "feature" in arm.get("params", {})
-    ]
-    for where, feature in named:
-        if feature not in names:
-            raise ConfigError(f"{where} {feature!r} is not a schema feature {list(names)}")
-
 
 def build_universe(cfg: ExperimentConfig) -> Universe:
-    u = cfg.universe
-    return Universe.build(
-        users=int(u["users"]),
-        items=int(u["items"]),
-        creators=int(u["creators"]),
-        latent_dim=int(u.get("latent_dim", 8)),
-        creator_size_exponent=float(u.get("creator_size_exponent", 1.2)),
-        recent_fraction=float(u.get("recent_fraction", 0.3)),
-        seed=int(u["seed"]),
-    )
+    return Universe.build(**asdict(cfg.universe))
 
 
 def fit_artifacts(
@@ -230,22 +169,23 @@ def fit_artifacts(
 ) -> tuple[BucketEdges, AdjustmentTable, RegressorModel]:
     """Fit the discrete table and the continuous regressor on one log."""
     schema = cfg.schema
-    edges = fit_edges(log, schema, k=cfg.bucketizer["k"])
+    bucketizer, train = cfg.bucketizer, cfg.train
+    edges = fit_edges(log, schema, k=bucketizer.k)
     table = fit_table(
         log,
         edges,
-        smoothing_prior_weight=cfg.bucketizer["smoothing_prior_weight"],
-        clip_bounds=cfg.bucketizer["clip_bounds"],
-        min_cell_count=cfg.bucketizer["min_cell_count"],
+        smoothing_prior_weight=bucketizer.smoothing_prior_weight,
+        clip_bounds=bucketizer.clip_bounds,
+        min_cell_count=bucketizer.min_cell_count,
     )
     n = len(log)
-    if n > cfg.train_max_samples:
-        rng = np.random.default_rng(cfg.train_subsample_seed)
-        idx = np.sort(rng.choice(n, size=cfg.train_max_samples, replace=False))
+    if n > train.max_samples:
+        rng = np.random.default_rng(train.subsample_seed)
+        idx = np.sort(rng.choice(n, size=train.max_samples, replace=False))
         feats, targets = log.features[idx], log.urps[idx]
     else:
         feats, targets = log.features, log.urps
-    model = train_xy(feats, targets, schema, cfg.train)
+    model = train_xy(feats, targets, schema, train.trainer())
     model.metadata["schema"] = asdict(schema)
     return edges, table, model
 
@@ -263,7 +203,7 @@ def make_policies(
             continue
         policies[arm["name"]] = build_policy(
             arm["policy"],
-            dict(arm.get("params", {})),
+            arm.get("params", {}),
             cfg.schema,
             cfg.session.slate_size,
             table=table,
@@ -292,7 +232,7 @@ def _populated_cell_mean_deviation(
 ) -> float:
     """Max |per-cell mean of corrected score - 1| with exact (unguarded) factors."""
     exact = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=None, min_cell_count=0)
-    config = DebiasConfig(mode="discrete", floor=1e-12, strength=1.0)
+    config = DebiasConfig(floor=1e-12, strength=1.0)
     debiased, _ = debias_log(log, exact, config)
     cell_idx = edges.assign_many(log.features)
     codes = np.ravel_multi_index(cell_idx.T, edges.dims)
@@ -401,7 +341,7 @@ def evaluate_results(
     model: RegressorModel,
 ) -> dict:
     """Metrics report plus diagnostics and acceptance-style checks."""
-    mc = cfg.metric_cfg
+    mc = cfg.metrics
     arms_data = {
         name: (res.log, res.user_creator_impressions) for name, res in results.items()
     }
@@ -409,34 +349,18 @@ def evaluate_results(
         arms_data,
         recent_flags=universe.creator_recent,
         control=cfg.control_name,
-        window_days=float(mc["window_days"]),
-        percentile=float(mc["emerging_percentile"]),
-        replicates=int(mc["replicates"]),
-        seed=int(mc["bootstrap_seed"]),
+        window_days=mc.window_days,
+        percentile=mc.emerging_percentile,
+        replicates=mc.replicates,
+        seed=mc.bootstrap_seed,
     )
 
     control_log = results[cfg.control_name].log
     schema = cfg.schema
 
-    discrete_cfg = DebiasConfig(
-        mode="discrete",
-        floor=cfg.debias.floor,
-        floor_fraction=cfg.debias.floor_fraction,
-        strength=cfg.debias.strength,
-    )
-    continuous_cfg = DebiasConfig(
-        mode="continuous",
-        floor=cfg.debias.floor,
-        floor_fraction=cfg.debias.floor_fraction,
-        strength=cfg.debias.strength,
-    )
-
     corr = {}
-    for mode, artifact, dcfg in (
-        ("discrete", table, discrete_cfg),
-        ("continuous", model, continuous_cfg),
-    ):
-        rows = residual_correlation(control_log, artifact, dcfg)
+    for mode, artifact in (("discrete", table), ("continuous", model)):
+        rows = residual_correlation(control_log, artifact, cfg.debias)
         corr[mode] = [
             {
                 "name": r.name,
@@ -448,29 +372,23 @@ def evaluate_results(
             for r in rows
         ]
 
-    dist_feature = mc["distribution_feature"]
+    dist_feature = mc.distribution_feature
     j = schema.index_of(dist_feature)
-    debiased_discrete, _ = debias_log(control_log, table, discrete_cfg)
+    debiased_discrete, _ = debias_log(control_log, table, cfg.debias)
     distribution = metrics.score_distribution_by_bucket(
         control_log, edges.cuts[j], dist_feature, debiased=debiased_discrete, n_levels=3
     )
 
     calibration = metrics.calibration_ratio(
-        model,
-        control_log,
-        mc["calibration_feature"],
-        k=int(mc["calibration_buckets"]),
+        model, control_log, mc.calibration_feature, k=mc.calibration_buckets
     )
 
     shifts = {
-        "discrete": metrics.label_prediction_shift(
-            control_log, table, discrete_cfg, mc["calibration_feature"],
-            k=int(mc["calibration_buckets"]),
-        ),
-        "continuous": metrics.label_prediction_shift(
-            control_log, model, continuous_cfg, mc["calibration_feature"],
-            k=int(mc["calibration_buckets"]),
-        ),
+        mode: metrics.label_prediction_shift(
+            control_log, artifact, cfg.debias, mc.calibration_feature,
+            k=mc.calibration_buckets,
+        )
+        for mode, artifact in (("discrete", table), ("continuous", model))
     }
 
     diagnostics = {
@@ -483,7 +401,7 @@ def evaluate_results(
         "familiar_share_by_quartile": [
             float(x)
             for x in metrics.familiar_share_by_time_quartile(
-                control_log, float(mc["window_days"])
+                control_log, mc.window_days
             )
         ],
         "fitted": {

@@ -9,13 +9,13 @@ users' pools at once (rows of the input matrices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .bucketizer import AdjustmentTable
-from .core import FeatureSchema
-from .debias import DebiasConfig, debias_scores, factor_source
+from .core import FeatureSchema, load
+from .debias import MODES, DebiasConfig, debias_scores, factor_source
 from .simulator import ControlPolicy, PolicyContext, order_rows_by_key
 
 __all__ = [
@@ -26,9 +26,6 @@ __all__ = [
     "QuotaRerankPolicy",
     "build_policy",
 ]
-
-# policy names an arm may use; build_policy constructs each of them
-POLICY_NAMES = ("control", "debias", "log_pop", "static_boost", "user_centric", "item_centric")
 
 STRATA = ("low", "med", "high")
 
@@ -49,12 +46,55 @@ def popularity_terciles(all_counts: np.ndarray) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class BoostRule:
-    """Fixed multiplier applied when one feature sits below a threshold."""
+class DebiasParams:
+    mode: str = "discrete"
+    strength: float | None = None  # None: the experiment's debias.strength
 
-    feature: str
-    threshold: float
-    multiplier: float
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"mode: must be one of {MODES}, got {self.mode!r}")
+        if self.strength is not None:
+            DebiasConfig(strength=self.strength)  # its range check
+
+
+@dataclass(frozen=True)
+class BoostRule:
+    """Fixed multiplier applied when one feature sits below a threshold.
+
+    It is also the ``static_boost`` arm's parameters; ``feature`` None is
+    the schema's first feature.
+    """
+
+    feature: str | None = None
+    threshold: float = 1.0
+    multiplier: float = 1.25
+
+
+@dataclass(frozen=True)
+class Quota:
+    """Largest share of the slate per stratum; a share of 1 leaves it uncapped."""
+
+    low: float = 1.0
+    med: float = 1.0
+    high: float = 1.0
+
+    def __post_init__(self) -> None:
+        for stratum in STRATA:
+            share = getattr(self, stratum)
+            if not (0.0 <= share <= 1.0):
+                raise ValueError(f"{stratum}: share must be in [0, 1], got {share}")
+        if self.low + self.med + self.high < 1.0:
+            raise ValueError("stratum quotas must sum to at least 1")
+
+
+@dataclass(frozen=True)
+class ItemQuotaParams:
+    quota: Quota = Quota(high=0.35)
+
+
+@dataclass(frozen=True)
+class UserQuotaParams(ItemQuotaParams):
+    feature: str | None = None  # None: the schema's first feature
 
 
 class DebiasPolicy:
@@ -72,13 +112,15 @@ class DebiasPolicy:
         return order_rows_by_key(key)
 
 
+@dataclass(frozen=True)
 class LogPopPolicy:
     """Rank by the score divided by (1 + live global exposure) ** lambda."""
 
-    def __init__(self, lambda_pop: float):
-        if lambda_pop < 0:
-            raise ValueError("lambda_pop must be >= 0")
-        self.lambda_pop = lambda_pop
+    lambda_pop: float = 0.1
+
+    def __post_init__(self) -> None:
+        if self.lambda_pop < 0:
+            raise ValueError(f"lambda_pop: must be >= 0, got {self.lambda_pop}")
 
     def rank_batch(self, pools, urps, features, ctx: PolicyContext):
         pop = ctx.state.item_impressions[pools]
@@ -92,7 +134,7 @@ class StaticBoostPolicy:
     def __init__(self, rule: BoostRule, schema: FeatureSchema):
         self.rule = rule
         self.schema = schema
-        self._j = schema.index_of(rule.feature)
+        self._j = 0 if rule.feature is None else schema.index_of(rule.feature)
 
     def rank_batch(self, pools, urps, features, ctx: PolicyContext):
         boosted = np.where(
@@ -130,9 +172,9 @@ class QuotaRerankPolicy:
 
     ``kind`` selects the strata source: "user" buckets the user's own
     familiarity feature through the fitted edges, "item" uses live global
-    item-popularity terciles. Stratum caps are quota * slate_size; strata
-    missing from the quota dict are uncapped, and the effective quotas must
-    sum to at least 1.
+    item-popularity terciles. Stratum caps are quota * slate_size; the
+    quota dict holds ``Quota``'s fields, and strata missing from it are
+    uncapped.
     """
 
     def __init__(
@@ -147,12 +189,8 @@ class QuotaRerankPolicy:
             raise ValueError("kind must be 'user' or 'item'")
         if kind == "user" and (edges is None or feature is None):
             raise ValueError("user-centric rerank needs fitted edges and a feature")
-        effective = {s: 1.0 for s in STRATA}
-        effective.update(quota)
-        if sum(effective.values()) < 1.0:
-            raise ValueError("stratum quotas must sum to at least 1")
         self.kind = kind
-        self.quota = effective
+        self.quota = Quota(**quota)
         self.slate_size = slate_size
         self.edges = edges
         self.feature = feature
@@ -171,12 +209,24 @@ class QuotaRerankPolicy:
         base = order_rows_by_key(urps)
         levels = self._levels(pools, features, ctx)
         caps = np.asarray(
-            [self.quota[s] * self.slate_size for s in STRATA], dtype=np.float64
+            [getattr(self.quota, s) * self.slate_size for s in STRATA], dtype=np.float64
         )
         out = np.empty_like(base)
         for u in range(base.shape[0]):
             out[u] = _greedy_quota_row(base[u], levels[u], caps, self.slate_size)
         return out
+
+
+# the parameters of each policy an arm may use; build_policy constructs each of
+# them, and the parameters of control and log_pop are the policies themselves
+POLICY_PARAMS = {
+    "control": ControlPolicy,
+    "debias": DebiasParams,
+    "log_pop": LogPopPolicy,
+    "static_boost": BoostRule,
+    "user_centric": UserQuotaParams,
+    "item_centric": ItemQuotaParams,
+}
 
 
 def build_policy(
@@ -190,48 +240,28 @@ def build_policy(
 ):
     """Instantiate a policy from its config entry.
 
-    Raises KeyError for unknown policies and ValueError when a policy needs
-    a fitted artifact that was not supplied.
+    ``params`` load into the policy's entry of ``POLICY_PARAMS``, so a bad
+    key or value raises ``ConfigError``. Raises KeyError for unknown
+    policies and ValueError when a policy needs a fitted artifact that was
+    not supplied.
     """
-    if name not in POLICY_NAMES:
+    if name not in POLICY_PARAMS:
         raise KeyError(f"unknown policy {name!r}")
-    if name == "control":
-        return ControlPolicy()
+    p = load(POLICY_PARAMS[name], params, "params")
+    if name in ("control", "log_pop"):
+        return p
     if name == "debias":
-        mode = params.get("mode", "discrete")
         base = debias_config or DebiasConfig()
-        config = DebiasConfig(
-            mode=mode,
-            floor=base.floor,
-            floor_fraction=base.floor_fraction,
-            strength=float(params.get("strength", base.strength)),
-        )
-        artifact = table if mode == "discrete" else model
+        config = base if p.strength is None else replace(base, strength=p.strength)
+        artifact = table if p.mode == "discrete" else model
         if artifact is None:
-            raise ValueError(f"debias policy in {mode} mode needs a fitted artifact")
+            raise ValueError(f"debias policy in {p.mode} mode needs a fitted artifact")
         return DebiasPolicy(artifact, config)
-    if name == "log_pop":
-        return LogPopPolicy(float(params.get("lambda_pop", 0.1)))
     if name == "static_boost":
-        rule = BoostRule(
-            feature=params.get("feature", schema.names[0]),
-            threshold=float(params.get("threshold", 1.0)),
-            multiplier=float(params.get("multiplier", 1.25)),
-        )
-        return StaticBoostPolicy(rule, schema)
-    if name == "user_centric":
-        if table is None:
-            raise ValueError("user-centric rerank needs a fitted table for strata")
-        return QuotaRerankPolicy(
-            kind="user",
-            quota=dict(params.get("quota", {"high": 0.35})),
-            slate_size=slate_size,
-            edges=table.edges,
-            feature=params.get("feature", schema.names[0]),
-        )
-    # the one name left in POLICY_NAMES is item_centric
-    return QuotaRerankPolicy(
-        kind="item",
-        quota=dict(params.get("quota", {"high": 0.35})),
-        slate_size=slate_size,
-    )
+        return StaticBoostPolicy(p, schema)
+    if name == "item_centric":
+        return QuotaRerankPolicy("item", asdict(p.quota), slate_size)
+    # the one name left is user_centric, whose strata need the fitted table's edges
+    edges = None if table is None else table.edges
+    feature = schema.names[0] if p.feature is None else p.feature
+    return QuotaRerankPolicy("user", asdict(p.quota), slate_size, edges=edges, feature=feature)

@@ -16,7 +16,7 @@ changing any per-user result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Protocol
 
 import numpy as np
@@ -51,6 +51,14 @@ class FeatureSpec:
     tau_days: float = 7.0
     cap_days: float = 365.0
 
+    def __post_init__(self) -> None:
+        if self.name not in FEATURE_CATALOG:
+            raise ValueError(
+                f"name: {self.name!r} is not in the simulator catalog {list(FEATURE_CATALOG)}"
+            )
+        if self.kind not in DEFAULT_ALPHAS:
+            raise ValueError(f"kind: unknown feature kind {self.kind!r}")
+
     def effective_alpha(self) -> float:
         return DEFAULT_ALPHAS[self.kind] if self.alpha is None else self.alpha
 
@@ -60,16 +68,6 @@ class FeatureSpec:
         if self.kind == "recency":
             return np.exp(-values / self.tau_days)
         return values  # affinity: identity
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureSpec":
-        return cls(
-            name=d["name"],
-            kind=d["kind"],
-            alpha=d.get("alpha"),
-            tau_days=float(d.get("tau_days", 7.0)),
-            cap_days=float(d.get("cap_days", 365.0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,6 @@ class InflationSpec:
             raise ValueError("inflation spec needs at least one feature")
         if self.noise_sigma < 0:
             raise ValueError("noise sigma must be >= 0")
-        for f in self.features:
-            if f.kind not in DEFAULT_ALPHAS:
-                raise ValueError(f"unknown feature kind {f.kind!r}")
 
     @classmethod
     def default(cls, noise_sigma: float = 0.2) -> "InflationSpec":
@@ -127,12 +122,24 @@ class InflationSpec:
             out = out * (1.0 + f.effective_alpha() * f.transform(features[..., j]))
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "InflationSpec":
-        return cls(
-            features=tuple(FeatureSpec.from_dict(f) for f in d["features"]),
-            noise_sigma=float(d.get("noise_sigma", 0.2)),
-        )
+
+@dataclass(frozen=True)
+class UniverseConfig:
+    """The ``universe`` section: ``Universe.build``'s arguments, size-checked."""
+
+    users: int
+    items: int
+    creators: int
+    seed: int
+    latent_dim: int = 8
+    creator_size_exponent: float = 1.2
+    recent_fraction: float = 0.3
+
+    def __post_init__(self) -> None:
+        if self.users < 1 or self.items < 1 or self.creators < 1:
+            raise ValueError("universe dimensions must be positive")
+        if self.items < self.creators:
+            raise ValueError("need at least one item per creator")
 
 
 class Universe:
@@ -165,10 +172,9 @@ class Universe:
         recent_fraction: float = 0.3,
         seed: int = 0,
     ) -> "Universe":
-        if users < 1 or items < 1 or creators < 1:
-            raise ValueError("universe dimensions must be positive")
-        if items < creators:
-            raise ValueError("need at least one item per creator")
+        config = UniverseConfig(
+            users, items, creators, seed, latent_dim, creator_size_exponent, recent_fraction
+        )
         rng = np.random.default_rng(seed)
         user_vectors = rng.standard_normal((users, latent_dim))
         item_vectors = rng.standard_normal((items, latent_dim))
@@ -196,14 +202,7 @@ class Universe:
             item_creator=item_creator,
             creator_recent=recent,
             seed=seed,
-            params={
-                "users": users,
-                "items": items,
-                "creators": creators,
-                "latent_dim": latent_dim,
-                "creator_size_exponent": creator_size_exponent,
-                "recent_fraction": recent_fraction,
-            },
+            params={k: v for k, v in asdict(config).items() if k != "seed"},
         )
 
     @property
@@ -273,10 +272,6 @@ class SessionConfig:
             raise ValueError("wt scale and affinity half-life must be positive")
         if self.candidate_sample_users < 0:
             raise ValueError("candidate sample size must be >= 0")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SessionConfig":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
 
     def pool_cdf(self, n_items: int) -> np.ndarray | None:
         if self.pool_skew == 0:
@@ -398,10 +393,8 @@ class SessionState:
             elif f.name == "days_since_last_watch":
                 days = np.where(ifound2, (now - last_ts.reshape(shape)) / DAY, f.cap_days)
                 cols.append(np.minimum(days, f.cap_days))
-            elif f.name == "creator_affinity":
+            else:  # creator_affinity, the one catalog feature left
                 cols.append(affinity)
-            else:
-                raise KeyError(f"no state column for feature {f.name!r}")
         return np.stack(cols, axis=-1)
 
     def consume_batch(self, user_ids: np.ndarray, items: np.ndarray, timestamps: np.ndarray) -> None:
@@ -484,8 +477,9 @@ def order_rows_by_key(key: np.ndarray) -> np.ndarray:
     return np.argsort(-key, axis=1, kind="stable")
 
 
+@dataclass(frozen=True)
 class ControlPolicy:
-    """Rank by the raw observed score."""
+    """Rank by the raw observed score; it takes no parameters."""
 
     def rank_batch(self, pools, urps, features, ctx):
         return order_rows_by_key(urps)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 from famdebias import core
 from famdebias.core import (
+    ConfigError,
     FeatureSchema,
     InteractionLog,
     LogValidationError,
+    load,
     read_jsonl,
     validate_log,
     write_jsonl,
@@ -463,3 +466,74 @@ class TestInteractionLog:
         assert np.array_equal(back.urps, log.urps)
         assert np.array_equal(back.features, log.features)
         assert not back.has_oracle
+
+
+@dataclass(frozen=True)
+class Inner:
+    n: int
+    x: float = 0.5
+    tags: tuple[str, ...] = ()
+    pair: tuple[int, int] | None = None
+
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"n: must be >= 0, got {self.n}")
+        if self.x > 10:
+            raise ValueError("x too large")
+
+
+@dataclass(frozen=True)
+class Outer:
+    inner: Inner
+    name: str | None = None
+    flag: bool = False
+
+
+class TestLoad:
+    def test_builds_nested_dataclasses(self):
+        got = load(Outer, {"inner": {"n": 2, "x": 3, "tags": ["a", "b"], "pair": [1, 2]},
+                           "name": "o", "flag": True})
+        assert got == Outer(Inner(2, 3.0, ("a", "b"), (1, 2)), "o", True)
+        assert type(got.inner.x) is float and type(got.inner.tags) is tuple
+        assert load(Outer, asdict(got)) == got
+
+    @pytest.mark.parametrize("raw, path", [
+        ({"inner": {"n": True}}, "inner.n"),          # a bool is not an int
+        ({"inner": {"n": 1.5}}, "inner.n"),           # nor is 1.5
+        ({"inner": {"n": 1, "x": False}}, "inner.x"),  # nor a number
+        ({"inner": {"n": None}}, "inner.n"),          # null only where optional
+        ({"inner": {"n": 1}, "flag": "no"}, "flag"),
+        ({"inner": {"n": 1, "tags": "ab"}}, "inner.tags"),   # a tuple loads from an array
+        ({"inner": {"n": 1, "tags": ["a", 2]}}, "inner.tags[1]"),
+        ({"inner": {"n": 1, "pair": [1, 2, 3]}}, "inner.pair"),
+        ({"inner": 3}, "inner"),
+    ])
+    def test_wrong_type_names_its_path(self, raw, path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected"):
+            load(Outer, raw)
+
+    def test_null_loads_into_optional_fields(self):
+        got = load(Outer, {"inner": {"n": 1, "pair": None}, "name": None})
+        assert got.name is None and got.inner.pair is None
+
+    def test_unknown_and_missing_keys_name_their_path(self):
+        with pytest.raises(ConfigError, match=r"^inner\.m: unknown key"):
+            load(Outer, {"inner": {"n": 1, "m": 2}})
+        with pytest.raises(ConfigError, match=r"^inner\.n: missing required key"):
+            load(Outer, {"inner": {}})
+        with pytest.raises(ConfigError, match=r"^cfg\.inner: missing required key"):
+            load(Outer, {}, "cfg")
+
+    def test_post_init_errors_become_config_errors(self):
+        with pytest.raises(ConfigError, match=r"^inner\.n: must be >= 0, got -1"):
+            load(Outer, {"inner": {"n": -1}})
+        with pytest.raises(ConfigError, match=r"^inner: x too large"):
+            load(Outer, {"inner": {"n": 1, "x": 11}})
+
+    def test_schema_file_loads_strictly(self, tmp_path):
+        path = tmp_path / "schema.json"
+        SCHEMA.save(path)
+        assert FeatureSchema.load(path) == SCHEMA
+        path.write_text(json.dumps({**asdict(SCHEMA), "nmaes": []}))
+        with pytest.raises(ConfigError, match="nmaes: unknown key"):
+            FeatureSchema.load(path)

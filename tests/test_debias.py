@@ -103,7 +103,7 @@ class TestDebiasScore:
         x = rng.uniform(0.0, 5.0, size=(200, 1))
         targets = 1.0 + 0.2 * x[:, 0]
         model = train_xy(x, targets, SCHEMA_1, TrainConfig(max_epochs=2, batch_size=16))
-        policy = DebiasPolicy(model, DebiasConfig(mode="continuous"))
+        policy = DebiasPolicy(model, DebiasConfig())
         features = np.array([[[1.0], [np.nan], [3.0]]])
         pools = np.array([[0, 1, 2]])
         with pytest.raises(ValueError), np.errstate(invalid="ignore"):
@@ -112,8 +112,6 @@ class TestDebiasScore:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             DebiasConfig(strength=1.5)
-        with pytest.raises(ValueError):
-            DebiasConfig(mode="other")
         with pytest.raises(ValueError):
             DebiasConfig(floor=-1.0)
 
@@ -356,7 +354,7 @@ class TestPaperInvariants:
         artifacts = {"discrete": table, "continuous": model}
         policies = {"control": ControlPolicy()}
         for mode in MODES:
-            config = DebiasConfig(mode=mode, floor_fraction=floor_fraction, strength=0.0)
+            config = DebiasConfig(floor_fraction=floor_fraction, strength=0.0)
             debiased, _ = debias_log(log, artifacts[mode], config)
             assert np.array_equal(debiased, log.urps)
             policies[mode] = DebiasPolicy(artifacts[mode], config)

@@ -1,6 +1,7 @@
 """Pipeline wiring, configuration validation, CLI surface, stage isolation."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from famdebias.harness import (
     emit_report,
     run_pipeline,
 )
+from famdebias.policies import build_policy
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -45,6 +47,40 @@ def bundle_bytes(outdir: Path) -> dict:
     return {name: (outdir / name).read_bytes() for name in names}
 
 
+DELETE = object()
+
+# case -> (key path in quick.json, value to put there or DELETE, dotted path the error names)
+BAD_KEYS = {
+    "typo-top-level": (("trian",), {"seed": 1}, "trian"),
+    "typo-universe": (("universe", "userz"), 80, "universe.userz"),
+    "typo-inflation": (("inflation", "noise_sigm"), 0.2, "inflation.noise_sigm"),
+    "typo-feature": (("inflation", "features", 0, "knd"), "count", "inflation.features[0].knd"),
+    "missing-feature-kind": (("inflation", "features", 0, "kind"), DELETE,
+                             "inflation.features[0].kind"),
+    "typo-session": (("session", "pool_skw"), 0.8, "session.pool_skw"),
+    "typo-arm": (("arms", 3, "parms"), {}, "arms[3].parms"),
+    "typo-bucketizer": (("bucketizer", "min_cell_cnt"), 10, "bucketizer.min_cell_cnt"),
+    "typo-train": (("train", "hiden_sizes"), [8], "train.hiden_sizes"),
+    "debias-mode": (("debias", "mode"), "discrete", "debias.mode"),
+    "typo-metrics": (("metrics", "replicatse"), 200, "metrics.replicatse"),
+    "seed-float": (("experiment_seed",), 1.5, "experiment_seed"),
+    "write-logs-string": (("write_logs",), "no", "write_logs"),
+    "users-bool": (("universe", "users"), True, "universe.users"),
+    "null-replicates": (("metrics", "replicates"), None, "metrics.replicates"),
+    "sessions-string": (("session", "sessions"), "12", "session.sessions"),
+    "hidden-sizes-int": (("train", "hidden_sizes"), 16, "train.hidden_sizes"),
+    "clip-bounds-short": (("bucketizer", "clip_bounds"), [0.5], "bucketizer.clip_bounds"),
+    "arm-param-typo": (("arms", 3, "params", "lamda_pop"), 0.1, "arms[3].params.lamda_pop"),
+    "arm-mode": (("arms", 1, "params", "mode"), "discret", "arms[1].params.mode"),
+    "arm-strength": (("arms", 1, "params", "strength"), 2, "arms[1].params.strength"),
+    "arm-lambda-pop": (("arms", 3, "params", "lambda_pop"), -1, "arms[3].params.lambda_pop"),
+    "arm-quota-share": (("arms", 3), {"name": "q", "policy": "item_centric",
+                                      "params": {"quota": {"high": 2}}},
+                        "arms[3].params.quota.high"),
+    "users-0": (("universe", "users"), 0, "universe"),
+    "items-below-creators": (("universe", "items"), 10, "universe"),
+}
+
 MALFORMED_CONFIGS = (
     "not-json",
     "calibration-feature",
@@ -58,6 +94,7 @@ MALFORMED_CONFIGS = (
     "emerging-percentile-150",
     "window-days--1",
     "window-days-inf",
+    *BAD_KEYS,
 )
 
 
@@ -84,6 +121,15 @@ def malformed_config_text(case: str, config: dict) -> str:
         config["metrics"]["emerging_percentile"] = 150
     elif case.startswith("window-days-"):
         config["metrics"]["window_days"] = float(case.split("-", 2)[2])
+    elif case in BAD_KEYS:
+        (*parents, key), value, _ = BAD_KEYS[case]
+        target = config
+        for step in parents:
+            target = target[step]
+        if value is DELETE:
+            del target[key]
+        else:
+            target[key] = value
     return json.dumps(config)
 
 
@@ -128,6 +174,24 @@ class TestConfigValidation:
         broken = json.loads(json.dumps(quick_config))
         broken["arms"].append(dict(broken["arms"][0]))
         with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(broken)
+
+    @pytest.mark.parametrize("policy, params, path", [
+        ("debias", {"mode": "other"}, "params.mode"),
+        ("debias", {"strength": -0.5}, "params.strength"),
+        ("log_pop", {"lamda_pop": 0.1}, "params.lamda_pop"),
+        ("item_centric", {"quota": {"top": 0.5}}, "params.quota.top"),
+        ("control", {"mode": "discrete"}, "params.mode"),
+    ])
+    def test_build_policy_checks_params_like_the_loader(self, quick_config, policy, params,
+                                                        path):
+        cfg = ExperimentConfig.from_dict(quick_config)
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
+            build_policy(policy, params, cfg.schema, cfg.session.slate_size,
+                         debias_config=cfg.debias)
+        broken = json.loads(json.dumps(quick_config))
+        broken["arms"].append({"name": "x", "policy": policy, "params": params})
+        with pytest.raises(ConfigError, match=re.escape(f"arms[4].{path}: ")):
             ExperimentConfig.from_dict(broken)
 
     def test_config_echo_round_trips(self, quick_config):
@@ -288,12 +352,22 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("case", MALFORMED_CONFIGS)
-    def test_malformed_config_exits_2(self, quick_config, tmp_path, case):
+    def test_malformed_config_exits_2(self, quick_config, tmp_path, capsys, case):
         bad = tmp_path / "bad.json"
         bad.write_text(malformed_config_text(case, quick_config))
         outdir = tmp_path / "o"
         assert main(["run", "--config", str(bad), "--out", str(outdir)]) == 2
         # rejected before any stage ran: nothing written, not even failed/
+        assert not outdir.exists()
+        if case in BAD_KEYS:
+            assert f"error: {BAD_KEYS[case][2]}" in capsys.readouterr().err
+
+    def test_non_object_config_with_seed_override_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        outdir = tmp_path / "o"
+        assert main(["run", "--config", str(bad), "--out", str(outdir), "--seed", "3"]) == 2
+        assert "error: config: expected a JSON object" in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_unknown_arm_exits_2(self, quick_config, tmp_path):
@@ -340,6 +414,21 @@ class TestCli:
         assert main(["debias", "--mode", mode, *artifact, "--schema", str(other),
                      "--in", str(slate_path), "--out", str(out_path)]) == 2
         assert "schema" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("bad_line", ["[1,2]", '{"item_id": "x",', '{"item_id": "x"}',
+                                          '{"item_id": "x", "urps": 1.0, "familiarity": [1]}'])
+    def test_malformed_slate_line_exits_2_naming_the_line(self, quick_run, tmp_path, capsys,
+                                                          bad_line):
+        _, outdir = quick_run
+        good = (Path(__file__).resolve().parent.parent / "docs" / "example_slate.jsonl")
+        slate = tmp_path / "slate.jsonl"
+        slate.write_text(good.read_text().splitlines(keepends=True)[0] + bad_line + "\n")
+        out_path = tmp_path / "ranked.jsonl"
+        assert main(["debias", "--mode", "discrete",
+                     "--table", str(outdir / "artifacts" / "table.json"),
+                     "--in", str(slate), "--out", str(out_path)]) == 2
+        assert f"slate.jsonl: line 2:" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_gradcheck_passes(self, capsys):

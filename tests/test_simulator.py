@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from famdebias.core import load
 from famdebias.harness import ExperimentConfig, run_arms, run_pipeline
 from famdebias.metrics import experiment_report, familiar_share_by_time_quartile
 from famdebias.policies import BoostRule, LogPopPolicy, QuotaRerankPolicy, StaticBoostPolicy
@@ -122,7 +123,7 @@ class TestInflation:
         assert np.all(SPEC.g_many(feats) >= 1.0)
 
     def test_config_round_trip(self):
-        back = InflationSpec.from_dict(asdict(SPEC))
+        back = load(InflationSpec, asdict(SPEC))
         assert back == SPEC
 
     def test_schema_derived_from_features(self):
@@ -518,7 +519,7 @@ class TestExperimentReportSurface:
         table = fit_table(warm.log, edges, 10.0, (0.5, 2.0), min_cell_count=25)
         policies = {
             "control": ControlPolicy(),
-            "treated": DebiasPolicy(table, DebiasConfig(mode="discrete")),
+            "treated": DebiasPolicy(table, DebiasConfig()),
         }
         results = arm_results(uni, policies, spec, cfg, seed=56)
         report = experiment_report(
