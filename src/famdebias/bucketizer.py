@@ -258,6 +258,16 @@ def _smooth_and_clip(
     return factors
 
 
+def check_table_settings(
+    smoothing_prior_weight: float, clip_bounds: tuple[float, float] | None
+) -> None:
+    """The table's smoothing and clipping ranges, checked at config load and at fit."""
+    if smoothing_prior_weight < 0:
+        raise ValueError(f"smoothing_prior_weight: must be >= 0, got {smoothing_prior_weight}")
+    if clip_bounds is not None and not (0 < clip_bounds[0] <= clip_bounds[1]):
+        raise ValueError(f"clip_bounds: must satisfy 0 < low <= high, got {list(clip_bounds)}")
+
+
 def fit_table(
     log: InteractionLog,
     edges: BucketEdges,
@@ -275,10 +285,7 @@ def fit_table(
     if len(log) == 0:
         raise ValueError("cannot fit a table on an empty log")
     _require_fittable(log)
-    if smoothing_prior_weight < 0:
-        raise ValueError("smoothing prior weight must be >= 0")
-    if clip_bounds is not None and not (0 < clip_bounds[0] <= clip_bounds[1]):
-        raise ValueError("clip bounds must satisfy 0 < low <= high")
+    check_table_settings(smoothing_prior_weight, clip_bounds)
     gm = float(np.mean(log.urps))
     m = float(smoothing_prior_weight)
     cell_idx = edges.assign_many(log.features)

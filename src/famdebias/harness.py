@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .bucketizer import AdjustmentTable, BucketEdges, fit_edges, fit_table
+from .bucketizer import AdjustmentTable, BucketEdges, check_table_settings, fit_edges, fit_table
 from .core import ConfigError, FeatureSchema, InteractionLog, load, read_jsonl, write_jsonl
 from .debias import DebiasConfig, debias_log, residual_correlation
 from .estimator import RegressorModel, TrainConfig, train_xy
@@ -52,6 +52,7 @@ class BucketizerConfig:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError(f"k: must be at least 2, got {self.k}")
+        check_table_settings(self.smoothing_prior_weight, self.clip_bounds)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -61,6 +62,11 @@ class TrainSection(TrainConfig):
     seed: int = field()  # required here, unlike in TrainConfig
     max_samples: int = 300_000
     subsample_seed: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.max_samples < 1:
+            raise ValueError(f"max_samples: must be at least 1, got {self.max_samples}")
 
     def trainer(self) -> TrainConfig:
         """The trainer's settings alone, as the fitted model records them."""

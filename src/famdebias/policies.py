@@ -9,14 +9,14 @@ users' pools at once (rows of the input matrices).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bucketizer import AdjustmentTable
 from .core import FeatureSchema, load
 from .debias import MODES, DebiasConfig, debias_scores, factor_source
-from .simulator import ControlPolicy, PolicyContext, order_rows_by_key
+from .simulator import ControlPolicy, order_rows_by_key
 
 __all__ = [
     "ControlPolicy",
@@ -105,7 +105,7 @@ class DebiasPolicy:
         self.config = config
         self._factors_of, self._ref_mean = factor_source(artifact)
 
-    def rank_batch(self, pools, urps, features, ctx: PolicyContext):
+    def rank_batch(self, pools, urps, features, item_impressions):
         flat = features.reshape(-1, features.shape[-1])
         factors = self._factors_of(flat).reshape(urps.shape)
         key = debias_scores(urps, factors, self.config, self._ref_mean)
@@ -122,8 +122,8 @@ class LogPopPolicy:
         if self.lambda_pop < 0:
             raise ValueError(f"lambda_pop: must be >= 0, got {self.lambda_pop}")
 
-    def rank_batch(self, pools, urps, features, ctx: PolicyContext):
-        pop = ctx.state.item_impressions[pools]
+    def rank_batch(self, pools, urps, features, item_impressions):
+        pop = item_impressions[pools]
         key = log_pop_penalize(urps, pop, self.lambda_pop)
         return order_rows_by_key(key)
 
@@ -136,35 +136,11 @@ class StaticBoostPolicy:
         self.schema = schema
         self._j = 0 if rule.feature is None else schema.index_of(rule.feature)
 
-    def rank_batch(self, pools, urps, features, ctx: PolicyContext):
+    def rank_batch(self, pools, urps, features, item_impressions):
         boosted = np.where(
             features[..., self._j] < self.rule.threshold, self.rule.multiplier, 1.0
         )
         return order_rows_by_key(urps * boosted)
-
-
-def _greedy_quota_row(
-    base_row: np.ndarray, level_row: np.ndarray, caps: np.ndarray, slate_size: int
-) -> np.ndarray:
-    """One row of quota admission; only the first slate_size entries matter."""
-    counts = [0, 0, 0]
-    admitted: list[int] = []
-    deferred: list[int] = []
-    scanned = 0
-    for idx in base_row:
-        scanned += 1
-        st = level_row[idx]
-        if counts[st] < caps[st]:
-            admitted.append(idx)
-            counts[st] += 1
-            if len(admitted) >= slate_size:
-                break
-        else:
-            deferred.append(idx)
-    tail = base_row[scanned:]
-    return np.concatenate(
-        [np.asarray(admitted + deferred, dtype=np.int64), tail]
-    )
 
 
 class QuotaRerankPolicy:
@@ -172,15 +148,17 @@ class QuotaRerankPolicy:
 
     ``kind`` selects the strata source: "user" buckets the user's own
     familiarity feature through the fitted edges, "item" uses live global
-    item-popularity terciles. Stratum caps are quota * slate_size; the
-    quota dict holds ``Quota``'s fields, and strata missing from it are
-    uncapped.
+    item-popularity terciles. Stratum caps are quota * slate_size. Scanning
+    the raw-score order, a candidate is admitted while its stratum is under
+    its cap, else deferred; the scan stops at the slate_size-th admission.
+    The order is the admitted, then the deferred, then the unscanned
+    candidates, each in raw-score order.
     """
 
     def __init__(
         self,
         kind: str,
-        quota: dict,
+        quota: Quota,
         slate_size: int,
         edges=None,
         feature: str | None = None,
@@ -190,31 +168,34 @@ class QuotaRerankPolicy:
         if kind == "user" and (edges is None or feature is None):
             raise ValueError("user-centric rerank needs fitted edges and a feature")
         self.kind = kind
-        self.quota = Quota(**quota)
+        self.quota = quota
         self.slate_size = slate_size
         self.edges = edges
         self.feature = feature
 
-    def _levels(self, pools, features, ctx: PolicyContext) -> np.ndarray:
+    def _levels(self, pools, features, item_impressions) -> np.ndarray:
         if self.kind == "user":
             j = self.edges.schema.index_of(self.feature)
             cuts = self.edges.cuts[j]
             bucket = np.searchsorted(cuts, features[..., j], side="right")
             return np.minimum((3 * bucket) // max(cuts.size + 1, 1), 2)
-        thresholds = popularity_terciles(ctx.state.item_impressions)
-        pop = ctx.state.item_impressions[pools]
+        thresholds = popularity_terciles(item_impressions)
+        pop = item_impressions[pools]
         return np.minimum(np.searchsorted(np.asarray(thresholds), pop, side="left"), 2)
 
-    def rank_batch(self, pools, urps, features, ctx: PolicyContext):
+    def rank_batch(self, pools, urps, features, item_impressions):
         base = order_rows_by_key(urps)
-        levels = self._levels(pools, features, ctx)
-        caps = np.asarray(
-            [getattr(self.quota, s) * self.slate_size for s in STRATA], dtype=np.float64
-        )
-        out = np.empty_like(base)
-        for u in range(base.shape[0]):
-            out[u] = _greedy_quota_row(base[u], levels[u], caps, self.slate_size)
-        return out
+        strata = np.take_along_axis(self._levels(pools, features, item_impressions), base, axis=1)
+        caps = np.asarray([getattr(self.quota, s) for s in STRATA]) * self.slate_size
+        # the k-th candidate of a stratum (from 0) is admitted iff k < its cap
+        earlier = np.zeros(base.shape, dtype=np.int64)
+        for s in range(len(STRATA)):
+            in_s = strata == s
+            earlier[in_s] = (np.cumsum(in_s, axis=1) - 1)[in_s]
+        admitted = earlier < caps[strata]
+        scanned = np.cumsum(admitted, axis=1) - admitted < self.slate_size
+        group = np.where(scanned, np.where(admitted, 0, 1), 2)
+        return np.take_along_axis(base, np.argsort(group, axis=1, kind="stable"), axis=1)
 
 
 # the parameters of each policy an arm may use; build_policy constructs each of
@@ -260,8 +241,8 @@ def build_policy(
     if name == "static_boost":
         return StaticBoostPolicy(p, schema)
     if name == "item_centric":
-        return QuotaRerankPolicy("item", asdict(p.quota), slate_size)
+        return QuotaRerankPolicy("item", p.quota, slate_size)
     # the one name left is user_centric, whose strata need the fitted table's edges
     edges = None if table is None else table.edges
     feature = schema.names[0] if p.feature is None else p.feature
-    return QuotaRerankPolicy("user", asdict(p.quota), slate_size, edges=edges, feature=feature)
+    return QuotaRerankPolicy("user", p.quota, slate_size, edges=edges, feature=feature)

@@ -140,6 +140,10 @@ class UniverseConfig:
             raise ValueError("universe dimensions must be positive")
         if self.items < self.creators:
             raise ValueError("need at least one item per creator")
+        if self.latent_dim < 1:
+            raise ValueError(f"latent_dim: must be at least 1, got {self.latent_dim}")
+        if not (0.0 <= self.recent_fraction <= 1.0):
+            raise ValueError(f"recent_fraction: must be in [0, 1], got {self.recent_fraction}")
 
 
 class Universe:
@@ -272,6 +276,10 @@ class SessionConfig:
             raise ValueError("wt scale and affinity half-life must be positive")
         if self.candidate_sample_users < 0:
             raise ValueError("candidate sample size must be >= 0")
+        if self.start_day <= 0:
+            # log timestamps must be positive, and the session's time is
+            # (start_day + session) days
+            raise ValueError(f"start_day: must be positive, got {self.start_day}")
 
     def pool_cdf(self, n_items: int) -> np.ndarray | None:
         if self.pool_skew == 0:
@@ -284,114 +292,87 @@ class _PairStore:
     """Sorted (user, id) key array with parallel value columns.
 
     Keys are user * stride + id, so one store holds every user's rows and
-    lookups and upserts batch across users.
+    lookups and upserts batch across users. A sentinel key above every real
+    key keeps the store non-empty, so each search lands on a valid slot.
     """
 
     __slots__ = ("stride", "keys", "columns")
 
     def __init__(self, stride: int, n_columns: int):
         self.stride = stride
-        self.keys = np.empty(0, dtype=np.int64)
-        self.columns = [np.empty(0, dtype=np.float64) for _ in range(n_columns)]
+        self.keys = np.array([np.iinfo(np.int64).max])
+        self.columns = [np.zeros(1) for _ in range(n_columns)]
 
     def key_of(self, users, ids) -> np.ndarray:
         return np.asarray(users, dtype=np.int64) * self.stride + np.asarray(ids, dtype=np.int64)
 
     def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(positions, found mask) per query key."""
-        if self.keys.size == 0:
-            return np.zeros(keys.size, dtype=np.int64), np.zeros(keys.size, dtype=bool)
         pos = np.searchsorted(self.keys, keys)
-        pos_c = np.minimum(pos, self.keys.size - 1)
-        return pos_c, self.keys[pos_c] == keys
+        return pos, self.keys[pos] == keys
 
     def insert(self, new_keys: np.ndarray, new_values: list[np.ndarray]) -> None:
         """Insert sorted keys known to be absent; keeps the store sorted."""
-        n_old, n_new = self.keys.size, new_keys.size
         pos = np.searchsorted(self.keys, new_keys)
-        slots = pos + np.arange(n_new)
-        keep = np.ones(n_old + n_new, dtype=bool)
-        keep[slots] = False
-        merged = np.empty(n_old + n_new, dtype=np.int64)
-        merged[slots] = new_keys
-        merged[keep] = self.keys
-        self.keys = merged
-        for j in range(len(self.columns)):
-            col = np.empty(n_old + n_new, dtype=np.float64)
-            col[slots] = new_values[j]
-            col[keep] = self.columns[j]
-            self.columns[j] = col
+        self.keys = np.insert(self.keys, pos, new_keys)
+        self.columns = [np.insert(c, pos, v) for c, v in zip(self.columns, new_values)]
 
 
 class SessionState:
     """Per-user familiarity bookkeeping plus global exposure counters.
 
-    The item store tracks (watch count, last timestamp) per (user, item); the
-    creator store tracks (watch count, decayed interaction mass, its
-    timestamp) per (user, creator). Creator affinity is the decayed share:
-    creator mass over the user's total decayed mass, always in [0, 1].
+    (user, item) state, a watch count and the last watch timestamp, lives in
+    a sorted key store, because users x items is too large to hold densely.
+    (user, creator) state is three dense (users, creators) float64 arrays:
+    the watch count, the decayed interaction mass and the mass timestamp. An
+    untouched cell is all zeros, so its mass reads 0.0 at any session time.
+    Creator affinity is the decayed share: creator mass over the user's
+    total decayed mass, always in [0, 1]. ``item_impressions`` (per item)
+    and ``user_creator_impressions`` (users x creators) count slate
+    exposure.
     """
 
     def __init__(self, universe: Universe, inflation: InflationSpec, cfg: SessionConfig):
         self.universe = universe
         self.inflation = inflation
-        self.cfg = cfg
         self._items = _PairStore(universe.n_items, 2)  # count, last_ts
-        self._creators = _PairStore(universe.n_creators, 3)  # count, mass, mass_ts
+        shape = (universe.n_users, universe.n_creators)
+        self._creator_count = np.zeros(shape)
+        self._creator_mass = np.zeros(shape)
+        self._creator_mass_ts = np.zeros(shape)
         self._total_mass = np.zeros(universe.n_users)
         self._total_mass_ts = np.zeros(universe.n_users)
         self.item_impressions = np.zeros(universe.n_items, dtype=np.int64)
-        self.user_creator_impressions = np.zeros(
-            (universe.n_users, universe.n_creators), dtype=np.int32
-        )
-        self.interactions_appended = 0
+        self.user_creator_impressions = np.zeros(shape, dtype=np.int32)
         self._tau_seconds = cfg.affinity_half_life_days * DAY / np.log(2.0)
 
     def features_batch(self, user_ids: np.ndarray, pools: np.ndarray, now: float) -> np.ndarray:
         """Familiarity tensor (n_rows, pool, n_features) read at observation time."""
         rows = user_ids[:, None]
-        ikeys = self._items.key_of(rows, pools).ravel()
-        ipos, ifound = self._items.find(ikeys)
-        if self._items.keys.size:
-            watch_count = np.where(ifound, self._items.columns[0][ipos], 0.0)
-            last_ts = np.where(ifound, self._items.columns[1][ipos], 0.0)
-        else:
-            watch_count = np.zeros(ikeys.size)
-            last_ts = np.zeros(ikeys.size)
+        ipos, ifound = self._items.find(self._items.key_of(rows, pools))
+        watch_count = np.where(ifound, self._items.columns[0][ipos], 0.0)
+        last_ts = np.where(ifound, self._items.columns[1][ipos], 0.0)
 
         creators = self.universe.item_creator[pools]
-        ckeys = self._creators.key_of(rows, creators).ravel()
-        cpos, cfound = self._creators.find(ckeys)
-        if self._creators.keys.size:
-            creator_count = np.where(cfound, self._creators.columns[0][cpos], 0.0)
-            mass = np.where(cfound, self._creators.columns[1][cpos], 0.0)
-            mass_ts = np.where(cfound, self._creators.columns[2][cpos], now)
-        else:
-            creator_count = np.zeros(ckeys.size)
-            mass = np.zeros(ckeys.size)
-            mass_ts = np.full(ckeys.size, now)
-
-        shape = pools.shape
         total = self._total_mass[user_ids]
         total_ts = self._total_mass_ts[user_ids]
         with np.errstate(divide="ignore", invalid="ignore"):
             total_now = total * np.exp(-(now - total_ts) / self._tau_seconds)
-            mass_now = mass.reshape(shape) * np.exp(
-                -(now - mass_ts.reshape(shape)) / self._tau_seconds
+            mass_now = self._creator_mass[rows, creators] * np.exp(
+                -(now - self._creator_mass_ts[rows, creators]) / self._tau_seconds
             )
             affinity = np.where(
                 total_now[:, None] > 0, mass_now / np.maximum(total_now[:, None], 1e-300), 0.0
             )
 
-        ifound2 = ifound.reshape(shape)
         cols = []
         for f in self.inflation.features:
             if f.name == "item_watch_count":
-                cols.append(watch_count.reshape(shape))
+                cols.append(watch_count)
             elif f.name == "creator_watch_count":
-                cols.append(creator_count.reshape(shape))
+                cols.append(self._creator_count[rows, creators])
             elif f.name == "days_since_last_watch":
-                days = np.where(ifound2, (now - last_ts.reshape(shape)) / DAY, f.cap_days)
+                days = np.where(ifound, (now - last_ts) / DAY, f.cap_days)
                 cols.append(np.minimum(days, f.cap_days))
             else:  # creator_affinity, the one catalog feature left
                 cols.append(affinity)
@@ -411,28 +392,21 @@ class SessionState:
         ikeys_s = ikeys[order]
         ts_s = timestamps.ravel()[order]
         pos, found = self._items.find(ikeys_s)
-        if found.any():
-            self._items.columns[0][pos[found]] += 1.0
-            self._items.columns[1][pos[found]] = ts_s[found]
+        self._items.columns[0][pos[found]] += 1.0
+        self._items.columns[1][pos[found]] = ts_s[found]
         if not found.all():
             miss = ~found
             self._items.insert(ikeys_s[miss], [np.ones(int(miss.sum())), ts_s[miss]])
 
-        creators = self.universe.item_creator[items]
-        ckeys = self._creators.key_of(rows, creators).ravel()
-        uniq_c, c_events = np.unique(ckeys, return_counts=True)
-        cpos, cfound = self._creators.find(uniq_c)
-        if cfound.any():
-            sel = cpos[cfound]
-            ev = c_events[cfound]
-            self._creators.columns[0][sel] += ev
-            decay = np.exp(-(now - self._creators.columns[2][sel]) / self._tau_seconds)
-            self._creators.columns[1][sel] = self._creators.columns[1][sel] * decay + ev
-            self._creators.columns[2][sel] = now
-        if not cfound.all():
-            miss = ~cfound
-            ev = c_events[miss].astype(np.float64)
-            self._creators.insert(uniq_c[miss], [ev.copy(), ev.copy(), np.full(ev.size, now)])
+        cells = (rows * self.universe.n_creators + self.universe.item_creator[items]).ravel()
+        cells, events = np.unique(cells, return_counts=True)
+        count, mass, mass_ts = (
+            a.reshape(-1) for a in (self._creator_count, self._creator_mass, self._creator_mass_ts)
+        )
+        count[cells] += events
+        decay = np.exp(-(now - mass_ts[cells]) / self._tau_seconds)
+        mass[cells] = mass[cells] * decay + events
+        mass_ts[cells] = now
 
         k = items.shape[1]
         decay_total = np.exp(
@@ -440,7 +414,6 @@ class SessionState:
         )
         self._total_mass[user_ids] = self._total_mass[user_ids] * decay_total + k
         self._total_mass_ts[user_ids] = now
-        self.interactions_appended += items.size
 
     def record_impressions_batch(self, user_ids: np.ndarray, slate_items: np.ndarray) -> None:
         flat = slate_items.ravel()
@@ -453,22 +426,19 @@ class SessionState:
         )
 
 
-@dataclass
-class PolicyContext:
-    state: SessionState
-    universe: Universe
-    now: float
-
-
 class Policy(Protocol):
     def rank_batch(
         self,
         pools: np.ndarray,
         urps: np.ndarray,
         features: np.ndarray,
-        ctx: PolicyContext,
+        item_impressions: np.ndarray | None,
     ) -> np.ndarray:
-        """Per-row ordering of pool columns, best first; must be deterministic."""
+        """Per-row ordering of pool columns, best first; must be deterministic.
+
+        ``item_impressions`` is the live global exposure per item; policies
+        that do not read it accept None.
+        """
         ...
 
 
@@ -481,7 +451,7 @@ def order_rows_by_key(key: np.ndarray) -> np.ndarray:
 class ControlPolicy:
     """Rank by the raw observed score; it takes no parameters."""
 
-    def rank_batch(self, pools, urps, features, ctx):
+    def rank_batch(self, pools, urps, features, item_impressions):
         return order_rows_by_key(urps)
 
 
@@ -720,8 +690,7 @@ def step_session(
             inflation=g[:m],
         )
 
-    ctx = PolicyContext(state=state, universe=universe, now=now)
-    order = policy.rank_batch(pools, urps, feats, ctx)
+    order = policy.rank_batch(pools, urps, feats, state.item_impressions)
     slate = order[:, : cfg.slate_size]
     slate_items = np.take_along_axis(pools, slate, axis=1)
     state.record_impressions_batch(user_ids, slate_items)

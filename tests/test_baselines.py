@@ -1,20 +1,21 @@
 """Baseline policies: popularity penalization, quota re-ranking, static boost."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famdebias.bucketizer import BucketEdges
 from famdebias.core import FeatureSchema
 from famdebias.policies import (
+    STRATA,
     BoostRule,
+    Quota,
     QuotaRerankPolicy,
     StaticBoostPolicy,
     log_pop_penalize,
     popularity_terciles,
 )
-from famdebias.simulator import PolicyContext
 
 SCHEMA = FeatureSchema(
     names=("watch_count",), kinds=("count",),
@@ -22,10 +23,28 @@ SCHEMA = FeatureSchema(
 )
 
 
-def context(item_impressions) -> PolicyContext:
-    """Policy context carrying only the live global item exposure."""
-    state = SimpleNamespace(item_impressions=np.asarray(item_impressions))
-    return PolicyContext(state=state, universe=None, now=0.0)
+def greedy_quota_row(
+    base_row: np.ndarray, level_row: np.ndarray, caps: np.ndarray, slate_size: int
+) -> np.ndarray:
+    """Oracle: one row of quota admission, scanned candidate by candidate."""
+    counts = [0, 0, 0]
+    admitted: list[int] = []
+    deferred: list[int] = []
+    scanned = 0
+    for idx in base_row:
+        scanned += 1
+        st = level_row[idx]
+        if counts[st] < caps[st]:
+            admitted.append(idx)
+            counts[st] += 1
+            if len(admitted) >= slate_size:
+                break
+        else:
+            deferred.append(idx)
+    tail = base_row[scanned:]
+    return np.concatenate(
+        [np.asarray(admitted + deferred, dtype=np.int64), tail]
+    )
 
 
 def boosted_order(rule: BoostRule, scores, feature_values) -> list:
@@ -40,9 +59,9 @@ def item_quota_order(scores, item_impressions, quota) -> list:
     """Item-centric quota order of one slate; pool column k is item k."""
     urps = np.asarray(scores, dtype=np.float64).reshape(1, -1)
     n = urps.shape[1]
-    policy = QuotaRerankPolicy(kind="item", quota=quota, slate_size=n)
+    policy = QuotaRerankPolicy(kind="item", quota=Quota(**quota), slate_size=n)
     pools = np.arange(n).reshape(1, -1)
-    out = policy.rank_batch(pools, urps, np.zeros((1, n, 1)), context(item_impressions))
+    out = policy.rank_batch(pools, urps, np.zeros((1, n, 1)), np.asarray(item_impressions))
     return out[0].tolist()
 
 
@@ -52,7 +71,7 @@ def user_quota_order(scores, feature_values, cuts, quota) -> list:
     n = urps.shape[1]
     edges = BucketEdges(schema=SCHEMA, cuts=[np.asarray(cuts, dtype=np.float64)], nominal_k=3)
     policy = QuotaRerankPolicy(
-        kind="user", quota=quota, slate_size=n, edges=edges, feature="watch_count"
+        kind="user", quota=Quota(**quota), slate_size=n, edges=edges, feature="watch_count"
     )
     feats = np.asarray(feature_values, dtype=np.float64).reshape(1, n, 1)
     return policy.rank_batch(np.arange(n).reshape(1, -1), urps, feats, None)[0].tolist()
@@ -144,11 +163,10 @@ class TestStrata:
         # items 0, 15 and 29 of a 30-item catalog are low, med and high;
         # a high-only quota admits item 29 first
         policy = QuotaRerankPolicy(
-            kind="item", quota={"low": 0.0, "med": 0.0, "high": 1.0}, slate_size=3
+            kind="item", quota=Quota(low=0.0, med=0.0, high=1.0), slate_size=3
         )
         order = policy.rank_batch(
-            np.array([[0, 15, 29]]), np.array([[3.0, 2.0, 1.0]]), np.zeros((1, 3, 1)),
-            context(counts),
+            np.array([[0, 15, 29]]), np.array([[3.0, 2.0, 1.0]]), np.zeros((1, 3, 1)), counts
         )
         assert order.tolist() == [[2, 0, 1]]
 
@@ -174,10 +192,10 @@ class TestQuotaRerank:
         assert order == [0, 2, 3, 1]
 
     def test_empty_slate(self):
-        policy = QuotaRerankPolicy(kind="item", quota={"high": 0.5}, slate_size=3)
+        policy = QuotaRerankPolicy(kind="item", quota=Quota(high=0.5), slate_size=3)
         out = policy.rank_batch(
             np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 3, 1)),
-            context(np.zeros(3, dtype=np.int64)),
+            np.zeros(3, dtype=np.int64),
         )
         assert out.shape == (0, 3)
 
@@ -189,19 +207,64 @@ class TestQuotaRerank:
         rng = np.random.default_rng(2)
         urps = rng.uniform(0, 5, (6, 30))
         pools = np.tile(np.arange(30), (6, 1))
-        policy = QuotaRerankPolicy(kind="item", quota={"high": 0.3}, slate_size=10)
-        out = policy.rank_batch(
-            pools, urps, np.zeros((6, 30, 1)), context(rng.integers(0, 50, 30))
-        )
+        policy = QuotaRerankPolicy(kind="item", quota=Quota(high=0.3), slate_size=10)
+        out = policy.rank_batch(pools, urps, np.zeros((6, 30, 1)), rng.integers(0, 50, 30))
         for row in out:
             assert sorted(row.tolist()) == list(range(30))
 
     def test_quotas_summing_below_one_rejected(self):
         with pytest.raises(ValueError):
-            QuotaRerankPolicy(
-                kind="item", quota={"low": 0.2, "med": 0.2, "high": 0.2}, slate_size=1
-            )
+            Quota(low=0.2, med=0.2, high=0.2)
 
     def test_score_ties_break_by_item_id(self):
         # pools are id-sorted, so tied scores keep ascending item id order
         assert item_quota_order([2.0, 2.0, 2.0], [0, 0, 0], {}) == [0, 1, 2]
+
+
+SHARES = st.sampled_from([0.0, 0.1, 0.35, 0.5, 1.0])
+
+
+@st.composite
+def quota_batches(draw):
+    """A quota policy and its rank_batch inputs, item or user strata, small batches."""
+    rows = draw(st.integers(0, 6))
+    pool = draw(st.integers(1, 24))
+    slate_size = draw(st.integers(1, pool))
+    shares = draw(
+        st.tuples(SHARES, SHARES, SHARES).filter(lambda q: sum(q) >= 1.0)
+    )
+    quota = Quota(*shares)
+    # few distinct score values force ties; all-equal exposure (item strata)
+    # or no cut (user strata) puts every candidate in one stratum
+    n_values = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    urps = rng.integers(1, n_values + 1, (rows, pool)).astype(np.float64)
+    if draw(st.booleans()):
+        counts = rng.integers(0, draw(st.sampled_from([1, 10])), 40)
+        pools = np.sort(np.argsort(rng.random((rows, 40)), axis=1)[:, :pool], axis=1)
+        policy = QuotaRerankPolicy(kind="item", quota=quota, slate_size=slate_size)
+        return policy, pools, urps, np.zeros((rows, pool, 1)), counts
+    n_cuts = draw(st.integers(0, 4))
+    cuts = np.arange(1, n_cuts + 1, dtype=np.float64)
+    edges = BucketEdges(schema=SCHEMA, cuts=[cuts], nominal_k=n_cuts + 1)
+    policy = QuotaRerankPolicy(
+        kind="user", quota=quota, slate_size=slate_size, edges=edges, feature="watch_count"
+    )
+    feats = rng.integers(0, n_cuts + 2, (rows, pool, 1)).astype(np.float64)
+    return policy, np.tile(np.arange(pool), (rows, 1)), urps, feats, None
+
+
+class TestQuotaOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(batch=quota_batches())
+    def test_rank_batch_equals_greedy_scan_row_by_row(self, batch):
+        policy, pools, urps, feats, counts = batch
+        out = policy.rank_batch(pools, urps, feats, counts)
+        base = np.argsort(-urps, axis=1, kind="stable")
+        levels = policy._levels(pools, feats, counts)
+        caps = np.asarray([getattr(policy.quota, s) * policy.slate_size for s in STRATA])
+        assert out.shape == urps.shape
+        for u in range(urps.shape[0]):
+            expected = greedy_quota_row(base[u], levels[u], caps, policy.slate_size)
+            assert out[u].tolist() == expected.tolist()

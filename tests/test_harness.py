@@ -79,6 +79,15 @@ BAD_KEYS = {
                         "arms[3].params.quota.high"),
     "users-0": (("universe", "users"), 0, "universe"),
     "items-below-creators": (("universe", "items"), 10, "universe"),
+    "latent-dim-0": (("universe", "latent_dim"), 0, "universe.latent_dim"),
+    "recent-fraction-2": (("universe", "recent_fraction"), 2.0, "universe.recent_fraction"),
+    "max-samples-0": (("train", "max_samples"), 0, "train.max_samples"),
+    "clip-bounds-inverted": (("bucketizer", "clip_bounds"), [2.0, 0.5],
+                             "bucketizer.clip_bounds"),
+    "smoothing-negative": (("bucketizer", "smoothing_prior_weight"), -1,
+                           "bucketizer.smoothing_prior_weight"),
+    "start-day-0": (("session", "start_day"), 0, "session.start_day"),
+    "start-day-negative": (("session", "start_day"), -20, "session.start_day"),
 }
 
 MALFORMED_CONFIGS = (

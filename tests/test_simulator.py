@@ -11,10 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from famdebias.bucketizer import BucketEdges
 from famdebias.core import load
 from famdebias.harness import ExperimentConfig, run_arms, run_pipeline
 from famdebias.metrics import experiment_report, familiar_share_by_time_quartile
-from famdebias.policies import BoostRule, LogPopPolicy, QuotaRerankPolicy, StaticBoostPolicy
+from famdebias.policies import (
+    BoostRule,
+    LogPopPolicy,
+    Quota,
+    QuotaRerankPolicy,
+    StaticBoostPolicy,
+)
 from famdebias.simulator import (
     DAY,
     ControlPolicy,
@@ -343,7 +350,7 @@ def policy_of(kind, slate_size):
         return LogPopPolicy(0.4)
     if kind == "static_boost":
         return StaticBoostPolicy(BoostRule("creator_affinity", 0.05, 1.3), SPEC.schema())
-    return QuotaRerankPolicy("item", {"high": 0.5}, slate_size)
+    return QuotaRerankPolicy("item", Quota(high=0.5), slate_size)
 
 
 class TestPairedRunner:
@@ -464,6 +471,84 @@ class TestPairedRunner:
                 log_digest(result.candidate_log),
                 digest(result.item_impressions, result.user_creator_impressions),
             ) == self.PINNED[(consume_top_k, candidate_users)][result.name]
+
+
+class TestDefaultSpecPin:
+    """Paired runs with every catalog feature, consumption on, over several sessions.
+
+    The creator watch count and affinity read the creator state, and both
+    quota re-rankers run with float caps (0.35 * 8 = 2.8), so a change to
+    the state layout or the quota admission shows here.
+    """
+
+    UNIVERSES = {
+        "u30": dict(users=30, items=300, creators=20, seed=3),
+        "u12": dict(users=12, items=150, creators=6, seed=8),
+        "u50": dict(users=50, items=600, creators=40, seed=21),
+    }
+
+    # measured at 6b7c7a1, before the dense creator state and the vectorized
+    # quota (CPython 3.11.7, numpy 2.4.6, x86-64 Linux)
+    PINNED = {
+        "u12": {
+            "control": "9e12f604758c98aa48b6e8720c723382addb193bb9eca3ed7010d56d0f886ec2",
+            "log_pop": "fe13bb3077c231da5ca5c4fee9360fed9dafcf47fb50140df81cb5a45c31d2bc",
+            "static_boost": "a24b3c2c8cf982b8e0f46a5141d56c84c800e9269b4177f08462955683b42c7d",
+            "item_centric": "753c7f01249b6d2bd1ec7c3552e01bc5deeeac68d6e788640a80b5d7f1bb64ce",
+            "user_centric": "be0621fb7a16ba17f63f119cd9ffb0992dc11132a6848b628b5ee7d5b2589777",
+        },
+        "u30": {
+            "control": "4fd0328a4b1e647b5fd8c163d62b0cf88f71a14b17853c3949fc3e0bac20f862",
+            "log_pop": "d1a57dc4302ddc6efd5dddbaf7ff5aaca90f3e9a2f21fa2f9e587c984cf57686",
+            "static_boost": "aaa05c548fc3919599a21d45c0d05e048d93de8d6a426c5b837d300812ce3097",
+            "item_centric": "0905d355a130d12760d6201ae50d63c2ed420eefed3b9a4997314fb885cb73b8",
+            "user_centric": "65fd089a11d642dd56517a7c3d43d2cb175976ff79150740b3c5b6b878890d1d",
+        },
+        "u50": {
+            "control": "e3de7225903c0408a35a7881f25674cc8b8eb9d49557c3c857613a084d18e42f",
+            "log_pop": "b49860be073aa2dfcebbd49b126d4986e77157e2ba1a6a39ece3e1123427ec9c",
+            "static_boost": "634bd37566e6380b7807bea64c0b9cec4bbd819d8e1939eba20925a9f8731fc7",
+            "item_centric": "bc24c676b4b2f3e240ff5d0da47be785c890744819d418e3e2577b21a5ea245a",
+            "user_centric": "3c38008744182d2bfee2d712141d23009e8efede1dd26e98d82a087317fd9ed9",
+        },
+    }
+
+    @staticmethod
+    def policies(spec, slate_size):
+        schema = spec.schema()
+        cuts = [np.array([0.5, 1.5, 2.5])] * schema.arity
+        edges = BucketEdges(schema=schema, cuts=cuts, nominal_k=4)
+        return {
+            "control": ControlPolicy(),
+            "log_pop": LogPopPolicy(0.3),
+            "static_boost": StaticBoostPolicy(
+                BoostRule("creator_watch_count", 1.0, 1.3), schema
+            ),
+            "item_centric": QuotaRerankPolicy("item", Quota(high=0.35), slate_size),
+            "user_centric": QuotaRerankPolicy(
+                "user", Quota(med=0.5, high=0.35), slate_size, edges=edges,
+                feature="creator_watch_count",
+            ),
+        }
+
+    @pytest.mark.parametrize("universe", sorted(UNIVERSES))
+    def test_default_spec_runs_unchanged(self, universe):
+        spec = InflationSpec.default()
+        uni = Universe.build(**self.UNIVERSES[universe])
+        cfg = SessionConfig(
+            sessions=5, pool_size=24, slate_size=8, consume_top_k=4, pool_skew=0.6,
+            wt_familiarity_weight=0.5, candidate_sample_users=3,
+        )
+        results = run_paired_arms(uni, self.policies(spec, 8), spec, cfg, seed=17)
+        got = {
+            r.name: digest(
+                *(getattr(log, c) for log in (r.log, r.candidate_log) for c in LOG_COLUMNS),
+                r.item_impressions,
+                r.user_creator_impressions,
+            )
+            for r in results
+        }
+        assert got == self.PINNED[universe]
 
 
 class TestAmplification:
