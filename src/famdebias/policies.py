@@ -194,7 +194,8 @@ class QuotaRerankPolicy:
             earlier[in_s] = (np.cumsum(in_s, axis=1) - 1)[in_s]
         admitted = earlier < caps[strata]
         scanned = np.cumsum(admitted, axis=1) - admitted < self.slate_size
-        group = np.where(scanned, np.where(admitted, 0, 1), 2)
+        # int8 keys: numpy's stable sort of small integers is a radix sort
+        group = np.where(scanned, np.where(admitted, 0, 1), 2).astype(np.int8)
         return np.take_along_axis(base, np.argsort(group, axis=1, kind="stable"), axis=1)
 
 

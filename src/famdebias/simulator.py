@@ -247,9 +247,10 @@ class SessionConfig:
     """Closed-loop schedule: one session per user per simulated day.
 
     ``pool_skew`` > 0 draws candidate pools from a static head-heavy item
-    prior (weight (index+1)**-skew) instead of uniformly; the prior is
-    independent of run state, so arms still see identical pools, and item
-    quality is independent of index, so the skew carries no quality signal.
+    prior (``PoolPrior``, weight (index+1)**-skew) instead of uniformly; the
+    prior is independent of run state, so arms still see identical pools, and
+    item quality is independent of index, so the skew carries no quality
+    signal.
     """
 
     sessions: int = 50
@@ -264,6 +265,10 @@ class SessionConfig:
     candidate_sample_users: int = 0
 
     def __post_init__(self) -> None:
+        if self.slate_size < 1:
+            raise ValueError(f"slate_size: must be at least 1, got {self.slate_size}")
+        if self.consume_top_k < 0:
+            raise ValueError(f"consume_top_k: must be >= 0, got {self.consume_top_k}")
         if self.slate_size > self.pool_size:
             raise ValueError("slate size cannot exceed pool size")
         if self.consume_top_k > self.slate_size:
@@ -281,11 +286,44 @@ class SessionConfig:
             # (start_day + session) days
             raise ValueError(f"start_day: must be positive, got {self.start_day}")
 
-    def pool_cdf(self, n_items: int) -> np.ndarray | None:
-        if self.pool_skew == 0:
-            return None
-        weights = np.arange(1, n_items + 1, dtype=np.float64) ** (-self.pool_skew)
-        return np.cumsum(weights / weights.sum())
+
+@dataclass(frozen=True, eq=False)
+class PoolPrior:
+    """Static head-heavy item prior, weight (index+1)**-skew, drawn by inversion.
+
+    ``draw`` equals ``np.searchsorted(cdf, u, side="right")`` for every u in
+    [0, 1). A guide table (Chen and Asau, 1974; Devroye, 1986, III.2.4) holds
+    that search's answer at each bin edge b / 2**18. A u whose bin holds no
+    cdf entry takes its answer from the table, and only the others are
+    searched. Scaling by a power of two is exact, so the table is exact.
+    """
+
+    cdf: np.ndarray
+    guide: np.ndarray  # guide[b] = searchsorted(cdf, b / 2**18, side="right")
+
+    BINS = 1 << 18
+
+    @classmethod
+    def build(cls, n_items: int, skew: float) -> "PoolPrior":
+        weights = np.arange(1, n_items + 1, dtype=np.float64) ** (-skew)
+        # the rounded running sum may pass 1 or end short of it, which maps
+        # the top draws past the catalog; no draw reaches 1, so clipping at 1
+        # and ending at exactly 1 moves only those draws
+        cdf = np.minimum(np.cumsum(weights / weights.sum()), 1.0)
+        cdf[-1] = 1.0
+        # cdf[i] <= b / BINS iff ceil(cdf[i] * BINS) <= b
+        edges = np.ceil(cdf * cls.BINS).astype(np.int64)
+        guide = np.cumsum(np.bincount(edges, minlength=cls.BINS + 1)).astype(np.int32)
+        return cls(cdf=cdf, guide=guide)
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """Item index per uniform u in [0, 1), any shape."""
+        b = (u * self.BINS).astype(np.intp)
+        lo = self.guide[b]
+        out = lo.astype(np.int64)
+        split = lo != self.guide[b + 1]
+        out[split] = np.searchsorted(self.cdf, u[split], side="right")
+        return out
 
 
 class _PairStore:
@@ -443,8 +481,17 @@ class Policy(Protocol):
 
 
 def order_rows_by_key(key: np.ndarray) -> np.ndarray:
-    """Row-wise descending stable order; pools are id-sorted so ties go to lower ids."""
-    return np.argsort(-key, axis=1, kind="stable")
+    """Row-wise descending stable order; pools are id-sorted so ties go to lower ids.
+
+    Without ties every correct sort gives the stable order, so a batch whose
+    sorted rows are strictly increasing (no equal keys, no NaN) takes
+    numpy's faster default argsort; any other batch takes the stable one.
+    """
+    neg = -key
+    s = np.sort(neg, axis=1)
+    if (s[:, 1:] > s[:, :-1]).all():
+        return neg.argsort(axis=1)
+    return neg.argsort(axis=1, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -469,11 +516,11 @@ def sample_pool(
     rng: np.random.Generator,
     n_items: int,
     size: int,
-    pool_cdf: np.ndarray | None = None,
+    prior: PoolPrior | None = None,
 ) -> np.ndarray:
     """Without-replacement candidate pool from one stream.
 
-    Draws with replacement (uniformly, or from the static prior when a cdf is
+    Draws with replacement (uniformly, or from the static prior when one is
     given) and keeps first occurrences, so the realized set depends only on
     the stream. The returned ids are sorted ascending.
     """
@@ -483,10 +530,10 @@ def sample_pool(
     chunks: list[np.ndarray] = []
     while True:
         n_draw = need + max(8, need // 2)
-        if pool_cdf is None:
+        if prior is None:
             draw = rng.integers(0, n_items, size=n_draw)
         else:
-            draw = np.searchsorted(pool_cdf, rng.random(n_draw), side="right")
+            draw = prior.draw(rng.random(n_draw))
         chunks.append(draw)
         allv = np.concatenate(chunks) if len(chunks) > 1 else draw
         uniq, first = np.unique(allv, return_index=True)
@@ -500,7 +547,9 @@ class SessionStreams:
 
     One counter-based stream is keyed by (seed, session) and drawn in a fixed
     layout independent of any policy or state, so every arm sees identical
-    pools, score noise, and watch-time draws.
+    pools, score noise, and watch-time draws. Pool draws are uniform, or
+    from ``prior`` when one is given; each user keeps the first
+    ``pool_size`` distinct items of its row of draws (``_dedupe``).
     """
 
     _BULK_TAG = 0xFFFFFFFF  # reserved user slot for the session-level stream
@@ -512,57 +561,52 @@ class SessionStreams:
         n_users: int,
         n_items: int,
         cfg: SessionConfig,
-        pool_cdf: np.ndarray | None = None,
+        prior: PoolPrior | None = None,
     ):
         rng = np.random.Generator(
             np.random.Philox(key=_stream_key(seed, session, self._BULK_TAG))
         )
         extra = int(cfg.pool_size * (0.15 + 0.55 * cfg.pool_skew))
         margin = cfg.pool_size + max(16, extra)
-        if pool_cdf is None:
+        if prior is None:
             pool_ints = rng.integers(0, n_items, size=(n_users, margin))
         else:
-            pool_ints = np.searchsorted(
-                pool_cdf, rng.random((n_users, margin)), side="right"
-            )
+            pool_ints = prior.draw(rng.random((n_users, margin)))
         self.normals = rng.standard_normal((n_users, cfg.pool_size))
         self.exps = rng.exponential(1.0, size=(n_users, cfg.consume_top_k))
         self._seed = seed
         self._session = session
         self._n_items = n_items
-        self._pool_cdf = pool_cdf
+        self._prior = prior
         self.pools = self._dedupe(pool_ints, cfg.pool_size)
 
     def _dedupe(self, pool_ints: np.ndarray, size: int) -> np.ndarray:
-        """First ``size`` distinct draws per row, returned id-sorted."""
-        n_users, margin = pool_ints.shape
-        sorted_vals = np.sort(pool_ints, axis=1)
-        dup_sorted = np.zeros_like(pool_ints, dtype=bool)
-        dup_sorted[:, 1:] = sorted_vals[:, 1:] == sorted_vals[:, :-1]
-        n_unique = margin - dup_sorted.sum(axis=1)
-        # keep the first occurrence of each value in draw order
-        order = np.argsort(pool_ints, axis=1, kind="stable")
-        dup_draw = np.zeros_like(dup_sorted)
-        np.put_along_axis(dup_draw, order, dup_sorted, axis=1)
-        keep = ~dup_draw
-        rank = np.cumsum(keep, axis=1)
-        sel = keep & (rank <= size)
+        """First ``size`` distinct draws per row, returned id-sorted.
 
+        One sort of the keys value * margin + position orders each row by
+        value, then by draw position: the quotient is the sorted values, the
+        remainder the positions, and the first key of each run of equal
+        values is that value's first draw. A row keeps the values whose
+        first draw is among its ``size`` earliest first draws.
+        """
+        n_users, margin = pool_ints.shape
+        keys = np.sort(pool_ints * margin + np.arange(margin), axis=1)
+        values, positions = np.divmod(keys, margin)
+        first = np.ones(keys.shape, dtype=bool)
+        first[:, 1:] = values[:, 1:] != values[:, :-1]
+        first_draw = np.where(first, positions, margin)
+        # the size-th earliest first draw; margin when a row has too few values
+        cutoff = np.partition(first_draw, size - 1, axis=1)[:, size - 1 : size]
+        enough = cutoff[:, 0] < margin
         pools = np.empty((n_users, size), dtype=np.int64)
-        enough = n_unique >= size
-        if enough.all():
-            pools[:] = pool_ints[sel].reshape(n_users, size)
-        else:
-            ok = np.flatnonzero(enough)
-            if ok.size:
-                pools[ok] = pool_ints[ok][sel[ok]].reshape(ok.size, size)
-            for u in np.flatnonzero(~enough):
-                # shared draws fell short of `size` distinct items (tiny
-                # catalogs or strong skew); fall back to this user's own
-                # keyed stream, which is still identical across arms
-                rng = _user_rng(self._seed, self._session, int(u))
-                pools[u] = sample_pool(rng, self._n_items, size, pool_cdf=self._pool_cdf)
-        return np.sort(pools, axis=1)
+        pools[enough] = values[(first_draw <= cutoff) & enough[:, None]].reshape(-1, size)
+        for u in np.flatnonzero(~enough):
+            # shared draws fell short of `size` distinct items (tiny
+            # catalogs or strong skew); fall back to this user's own
+            # keyed stream, which is still identical across arms
+            rng = _user_rng(self._seed, self._session, int(u))
+            pools[u] = sample_pool(rng, self._n_items, size, prior=self._prior)
+        return pools
 
 
 @dataclass(frozen=True)
@@ -588,10 +632,10 @@ class SessionDraws:
         cfg: SessionConfig,
         session: int,
         seed: int,
-        pool_cdf: np.ndarray | None = None,
+        prior: PoolPrior | None = None,
     ) -> "SessionDraws":
         streams = SessionStreams(
-            seed, session, universe.n_users, universe.n_items, cfg, pool_cdf=pool_cdf
+            seed, session, universe.n_users, universe.n_items, cfg, prior=prior
         )
         return cls(
             session=session,
@@ -750,9 +794,9 @@ def run_paired_arms(
         _LogColumns(m * cfg.pool_size, cfg.sessions, schema.arity) if m > 0 else None
         for _ in names
     ]
-    pool_cdf = cfg.pool_cdf(universe.n_items)
+    prior = PoolPrior.build(universe.n_items, cfg.pool_skew) if cfg.pool_skew > 0 else None
     for session in range(cfg.sessions):
-        draws = SessionDraws.build(universe, inflation, cfg, session, seed, pool_cdf)
+        draws = SessionDraws.build(universe, inflation, cfg, session, seed, prior)
         for name, state, log, cand in zip(names, states, logs, candidates):
             step_session(universe, state, policies[name], inflation, cfg, draws, log, cand)
     return [

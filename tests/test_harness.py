@@ -49,7 +49,12 @@ def bundle_bytes(outdir: Path) -> dict:
 
 DELETE = object()
 
-# case -> (key path in quick.json, value to put there or DELETE, dotted path the error names)
+
+class Merge(dict):
+    """A BAD_KEYS value whose keys are set inside the section the path names."""
+
+
+# case -> (key path in quick.json, value to put there, DELETE or a Merge, dotted path the error names)
 BAD_KEYS = {
     "typo-top-level": (("trian",), {"seed": 1}, "trian"),
     "typo-universe": (("universe", "userz"), 80, "universe.userz"),
@@ -88,6 +93,10 @@ BAD_KEYS = {
                            "bucketizer.smoothing_prior_weight"),
     "start-day-0": (("session", "start_day"), 0, "session.start_day"),
     "start-day-negative": (("session", "start_day"), -20, "session.start_day"),
+    "slate-size-0": (("session",), Merge(slate_size=0, consume_top_k=0), "session.slate_size"),
+    "slate-size-negative": (("session",), Merge(slate_size=-1, consume_top_k=-2),
+                            "session.slate_size"),
+    "consume-top-k-negative": (("session", "consume_top_k"), -1, "session.consume_top_k"),
 }
 
 MALFORMED_CONFIGS = (
@@ -137,6 +146,8 @@ def malformed_config_text(case: str, config: dict) -> str:
             target = target[step]
         if value is DELETE:
             del target[key]
+        elif isinstance(value, Merge):
+            target[key].update(value)
         else:
             target[key] = value
     return json.dumps(config)

@@ -27,10 +27,13 @@ from famdebias.simulator import (
     ControlPolicy,
     FeatureSpec,
     InflationSpec,
+    PoolPrior,
     SessionConfig,
     SessionState,
     SessionStreams,
     Universe,
+    _user_rng,
+    order_rows_by_key,
     run_arm,
     run_paired_arms,
     sample_pool,
@@ -231,9 +234,115 @@ class TestPoolsAndStreams:
         cfg = SessionConfig(
             sessions=1, pool_size=50, slate_size=8, consume_top_k=4, pool_skew=1.0
         )
-        cdf = cfg.pool_cdf(5000)
-        streams = SessionStreams(1, 0, 200, 5000, cfg, pool_cdf=cdf)
+        prior = PoolPrior.build(5000, cfg.pool_skew)
+        streams = SessionStreams(1, 0, 200, 5000, cfg, prior=prior)
         assert np.median(streams.pools) < 2500 * 0.5
+
+
+def dedupe_oracle(streams, pool_ints, size):
+    """The sort, stable argsort and scatter that ``SessionStreams._dedupe`` replaced."""
+    n_users, margin = pool_ints.shape
+    sorted_vals = np.sort(pool_ints, axis=1)
+    dup_sorted = np.zeros_like(pool_ints, dtype=bool)
+    dup_sorted[:, 1:] = sorted_vals[:, 1:] == sorted_vals[:, :-1]
+    n_unique = margin - dup_sorted.sum(axis=1)
+    order = np.argsort(pool_ints, axis=1, kind="stable")
+    dup_draw = np.zeros_like(dup_sorted)
+    np.put_along_axis(dup_draw, order, dup_sorted, axis=1)
+    keep = ~dup_draw
+    sel = keep & (np.cumsum(keep, axis=1) <= size)
+    pools = np.empty((n_users, size), dtype=np.int64)
+    for u in range(n_users):
+        if n_unique[u] >= size:
+            pools[u] = pool_ints[u][sel[u]]
+        else:
+            rng = _user_rng(streams._seed, streams._session, u)
+            pools[u] = sample_pool(rng, streams._n_items, size, prior=streams._prior)
+    return np.sort(pools, axis=1)
+
+
+@st.composite
+def tied_keys(draw):
+    """Key batches with forced ties: integer values and duplicated columns."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    style = draw(st.sampled_from(["integers", "duplicated", "floats"]))
+    if style == "integers":
+        return rng.integers(-3, 4, size=(rows, cols)).astype(np.float64)
+    key = rng.standard_normal((rows, cols))
+    if style == "duplicated":
+        key = key[:, rng.integers(0, cols, size=cols)]
+    return key
+
+
+class TestKernelOracles:
+    """The ordering, prior and dedupe kernels equal their plain numpy oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=tied_keys())
+    def test_order_equals_stable_argsort(self, key):
+        expected = np.argsort(-key, axis=1, kind="stable")
+        assert np.array_equal(order_rows_by_key(key), expected)
+
+    def test_order_takes_stable_path_on_nan_and_signed_zero(self):
+        key = np.array([[1.0, np.nan, 0.5, np.nan], [0.0, -0.0, 2.0, 1.0]])
+        assert np.array_equal(order_rows_by_key(key), np.argsort(-key, axis=1, kind="stable"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        skew=st.floats(0.1, 3.0),
+        n_items=st.integers(1, 50_000),
+        bins=st.lists(st.integers(0, PoolPrior.BINS - 1), min_size=1, max_size=50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prior_draw_equals_searchsorted(self, skew, n_items, bins, seed):
+        prior = PoolPrior.build(n_items, skew)
+        u = np.concatenate([
+            np.asarray(bins) / PoolPrior.BINS,  # exact bin edges
+            [0.0, np.nextafter(1.0, 0.0)],
+            prior.cdf[prior.cdf < 1.0][:20],  # exactly on cdf entries
+            np.random.default_rng(seed).random(500),
+        ])
+        drawn = prior.draw(u)
+        assert np.array_equal(drawn, np.searchsorted(prior.cdf, u, side="right"))
+        assert drawn.min() >= 0 and drawn.max() < n_items
+
+    def test_prior_draw_just_below_one_is_the_last_item(self):
+        # the repro prior's rounded cdf ended at 0.9999999999999886, so the
+        # top draws mapped to item n_items, past the catalog
+        prior = PoolPrior.build(20_000, 0.8)
+        assert prior.draw(np.array([np.nextafter(1.0, 0.0)]))[0] == 19_999
+
+    def test_prior_guide_is_searchsorted_at_every_bin_edge(self):
+        prior = PoolPrior.build(20_000, 0.8)
+        edges = np.arange(PoolPrior.BINS + 1) / PoolPrior.BINS
+        assert prior.guide.dtype == np.int32
+        assert np.array_equal(prior.guide, np.searchsorted(prior.cdf, edges, side="right"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_users=st.integers(1, 12),
+        n_items=st.integers(1, 300),
+        size_frac=st.floats(0.05, 1.0),
+        spare=st.integers(1, 40),
+        skew=st.sampled_from([0.0, 0.5, 1.2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dedupe_equals_two_sort_oracle(self, n_users, n_items, size_frac, spare, skew, seed):
+        # small catalogs leave some rows short of distinct values, which
+        # sends them to the per-user fallback stream
+        size = max(1, int(size_frac * n_items))
+        cfg = SessionConfig(
+            sessions=1, pool_size=size, slate_size=1, consume_top_k=0, pool_skew=skew
+        )
+        prior = PoolPrior.build(n_items, skew) if skew > 0 else None
+        streams = SessionStreams(seed, 3, n_users, n_items, cfg, prior=prior)
+        rng = np.random.default_rng(seed)
+        pool_ints = rng.integers(0, n_items, size=(n_users, size + spare))
+        deduped = streams._dedupe(pool_ints, size)
+        assert deduped.dtype == np.int64
+        assert np.array_equal(deduped, dedupe_oracle(streams, pool_ints, size))
 
 
 class TestStepAndConservation:
