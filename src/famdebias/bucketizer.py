@@ -24,7 +24,8 @@ def quantile_cuts(values: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
     the smallest data value strictly above each quantile, so tied masses stay
     whole under the left-closed assignment convention (value == cut goes to
     the upper bucket). Duplicate cuts collapse; the effective bucket count
-    may shrink. Returns (cuts, constant_flag).
+    may shrink. Every cut is a data value above the minimum, so no bucket
+    of ``values`` is empty. Returns (cuts, constant_flag).
     """
     if k < 2:
         raise ValueError("bucket count must be >= 2")
@@ -64,17 +65,15 @@ class BucketEdges:
         return tuple(c.size + 1 for c in self.cuts)
 
     def assign_many(self, features: np.ndarray) -> np.ndarray:
-        """Bucket index per feature for each row; left-closed convention.
+        """Bucket index per feature for each row of an (n, arity) batch; left-closed.
 
         Raises ValueError on a non-finite feature value, which would
         otherwise land in the top (NaN, +inf) or bottom (-inf) bucket.
         """
         features = np.asarray(features, dtype=np.float64)
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
-        if features.shape[1] != self.schema.arity:
+        if features.ndim != 2 or features.shape[1] != self.schema.arity:
             raise ValueError(
-                f"feature arity {features.shape[1]} != schema arity {self.schema.arity}"
+                f"features must be (n, arity) with arity {self.schema.arity}, got {features.shape}"
             )
         finite = np.isfinite(features)
         # count_nonzero is cheaper than all() on a one-request batch
@@ -115,6 +114,12 @@ def _require_fittable(log: InteractionLog) -> None:
         if bad.any():
             rows = np.flatnonzero(bad)
             raise ValueError(f"{what} in {rows.size} row(s), first row {rows[0]}")
+
+
+def bucket_thirds(cuts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Familiarity level 0, 1 or 2 per value: the thirds of its bucket index under ``cuts``."""
+    bucket = np.searchsorted(cuts, values, side="right")
+    return np.minimum((3 * bucket) // (len(cuts) + 1), 2)
 
 
 def fit_edges(log: InteractionLog, schema: FeatureSchema, k: int = 5) -> BucketEdges:
@@ -158,15 +163,6 @@ class AdjustmentTable:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.edges.dims
-
-    def cell_code(self, cell: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(cell, self.dims))
-
-    def cell_factor(self, cell: tuple[int, ...]) -> float:
-        return float(self.factors[self.cell_code(cell)])
-
-    def cell_count(self, cell: tuple[int, ...]) -> int:
-        return int(self.counts[self.cell_code(cell)])
 
     def to_dict(self) -> dict:
         populated = np.flatnonzero(self.counts > 0)
@@ -320,29 +316,22 @@ def fit_table(
     )
 
 
-def lookup_many(
-    table: AdjustmentTable,
-    features: np.ndarray,
-    edges: BucketEdges | None = None,
-    min_cell_count: int | None = None,
-) -> np.ndarray:
-    """Vectorized factor lookup with back-off; always positive and finite.
+def lookup_many(table: AdjustmentTable, features: np.ndarray) -> np.ndarray:
+    """Factor per row of an (n, arity) batch, with back-off; always positive and finite.
 
     Back-off chain per row: the cell factor when the cell holds at least
-    ``min_cell_count`` fitted records; else the geometric mean of the
-    per-feature marginal factors when every marginal bucket is populated;
-    else the global mean.
+    the table's ``min_cell_count`` fitted records; else the geometric mean
+    of the per-feature marginal factors when every marginal bucket is
+    populated; else the global mean.
     """
-    edges = edges if edges is not None else table.edges
-    mcc = table.min_cell_count if min_cell_count is None else min_cell_count
-    cell_idx = edges.assign_many(features)
+    cell_idx = table.edges.assign_many(features)
     codes = np.ravel_multi_index(cell_idx.T, table.dims)
     result = table.factors[codes]
-    trusted = table.counts[codes] >= mcc
+    trusted = table.counts[codes] >= table.min_cell_count
 
     need = ~trusted
     if np.any(need):
-        n_feat = edges.schema.arity
+        n_feat = table.edges.schema.arity
         log_sum = np.zeros(int(need.sum()))
         all_pop = np.ones(int(need.sum()), dtype=bool)
         sub_idx = cell_idx[need]

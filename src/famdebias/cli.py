@@ -33,10 +33,10 @@ from .harness import (
     fit_artifacts,
     make_policies,
     read_arm_outputs,
-    run_arms,
     run_pipeline,
     write_arm_outputs,
 )
+from .simulator import run_paired_arms
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -76,7 +76,8 @@ def _cmd_simulate(args) -> int:
     )
     cfg.schema.save(outdir / "schema.json")
     policies = make_policies(cfg, table=table, model=model, arm_names=arm_names)
-    for result in run_arms(cfg, universe, policies):
+    results = run_paired_arms(universe, policies, cfg.inflation, cfg.session, cfg.experiment_seed)
+    for result in results:
         write_arm_outputs(result, cfg.schema, outdir)
         print(f"wrote {result.name}: {len(result.log)} interactions")
     return EXIT_OK

@@ -199,10 +199,6 @@ class InteractionLog:
     def __len__(self) -> int:
         return len(self.urps)
 
-    @property
-    def has_oracle(self) -> bool:
-        return self.true_quality is not None and self.inflation is not None
-
     def feature_column(self, name: str) -> np.ndarray:
         return self.features[:, self.schema.index_of(name)]
 

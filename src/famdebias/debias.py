@@ -51,7 +51,7 @@ def factor_source(artifact) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     if isinstance(artifact, AdjustmentTable):
         return (lambda feats: lookup_many(artifact, feats)), artifact.global_mean
     if isinstance(artifact, RegressorModel):
-        return (lambda feats: np.atleast_1d(forward(artifact, feats))), artifact.target_mean
+        return (lambda feats: forward(artifact, feats)), artifact.target_mean
     raise TypeError(f"unsupported adjustment source {type(artifact).__name__}")
 
 

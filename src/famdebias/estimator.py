@@ -100,18 +100,19 @@ class Normalizer:
         return cls(log1p_mask=mask, mean=mean, std=std)
 
     def apply(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        single = features.ndim == 1
-        x = np.atleast_2d(features).copy()
-        if x.shape[1] != self.mean.size:
-            raise ValueError(f"feature arity {x.shape[1]} != normalizer arity {self.mean.size}")
+        """Normalized copy of an (n, arity) feature batch."""
+        x = np.array(features, dtype=np.float64, order="C")
+        if x.ndim != 2 or x.shape[1] != self.mean.size:
+            raise ValueError(
+                f"features must be (n, arity) with arity {self.mean.size}, got {x.shape}"
+            )
         # in place on the one copy; the same operations as (log1p(x) - mean) / std
         for j, is_count in enumerate(self.log1p_mask.tolist()):
             if is_count:
                 np.log1p(x[:, j], out=x[:, j])
         x -= self.mean
         x /= self.std
-        return x[0] if single else x
+        return x
 
 
 class RegressorModel:
@@ -249,15 +250,15 @@ def _forward_pass(
     return h[:, 0], pre, post
 
 
-def forward(model: RegressorModel, features: np.ndarray) -> float | np.ndarray:
-    """Predicted conditional mean score; strictly positive, deterministic."""
-    arr = np.asarray(features, dtype=np.float64)
-    single = arr.ndim == 1
-    x = model.normalizer.apply(arr.reshape(1, -1) if single else arr)
-    out = _forward_pass(model, x, keep=False)[0]
+def forward(model: RegressorModel, features: np.ndarray) -> np.ndarray:
+    """Predicted conditional mean score per row of an (n, arity) batch.
+
+    Strictly positive and deterministic.
+    """
+    out = _forward_pass(model, model.normalizer.apply(features), keep=False)[0]
     out *= model.output_scale
     np.maximum(out, 1e-300, out=out)
-    return float(out[0]) if single else out
+    return out
 
 
 def mse_loss(model: RegressorModel, features: np.ndarray, targets: np.ndarray) -> float:
@@ -300,8 +301,7 @@ def backward(
     targets = np.asarray(targets, dtype=np.float64)
     if targets.size == 0:
         raise ValueError("batch must be non-empty")
-    x = model.normalizer.apply(np.asarray(features, dtype=np.float64))
-    return _gradients(model, np.atleast_2d(x), targets)
+    return _gradients(model, model.normalizer.apply(features), targets)
 
 
 def _init_model(

@@ -131,6 +131,12 @@ class ExperimentConfig:
     write_logs: bool = True
 
     def __post_init__(self) -> None:
+        if self.session.consume_top_k < 1:
+            # the artifacts are fitted on the control arm's consumed records
+            raise ConfigError(
+                f"session.consume_top_k: must be at least 1 to fit the artifacts, "
+                f"got {self.session.consume_top_k}"
+            )
         names = self.schema.names
         features = [
             (f"metrics.{key}", getattr(self.metrics, key))
@@ -219,20 +225,6 @@ def make_policies(
     return policies
 
 
-def run_arms(
-    cfg: ExperimentConfig, universe: Universe, policies: dict
-) -> list[ArmResult]:
-    """Run each policy through the closed loop against identical pools and streams.
-
-    All arms step together, session by session, against one shared build of
-    each session's draws; the results, one per arm in policy order, are
-    returned when every arm has finished.
-    """
-    return run_paired_arms(
-        universe, policies, cfg.inflation, cfg.session, cfg.experiment_seed
-    )
-
-
 def _populated_cell_mean_deviation(
     log: InteractionLog, edges: BucketEdges
 ) -> float:
@@ -293,7 +285,7 @@ def _build_checks(
         }
 
     cal = diagnostics["calibration"]
-    good = sum(1 for row in cal if row["count"] > 0 and 0.9 <= row["ratio"] <= 1.1)
+    good = sum(1 for row in cal if 0.9 <= row["ratio"] <= 1.1)
     checks["calibration_buckets_within_10pct"] = {
         "value": good,
         "threshold": 3,
@@ -382,7 +374,7 @@ def evaluate_results(
     j = schema.index_of(dist_feature)
     debiased_discrete, _ = debias_log(control_log, table, cfg.debias)
     distribution = metrics.score_distribution_by_bucket(
-        control_log, edges.cuts[j], dist_feature, debiased=debiased_discrete, n_levels=3
+        control_log, edges.cuts[j], dist_feature, debiased=debiased_discrete
     )
 
     calibration = metrics.calibration_ratio(
@@ -549,7 +541,8 @@ def run_pipeline(config: dict, outdir: str | Path) -> dict:
         stage = "simulate-control"
         control_name = cfg.control_name
         policies = make_policies(cfg, table=None, model=None, arm_names=[control_name])
-        results = {r.name: r for r in run_arms(cfg, universe, policies)}
+        loop = (cfg.inflation, cfg.session, cfg.experiment_seed)
+        results = {r.name: r for r in run_paired_arms(universe, policies, *loop)}
 
         stage = "fit"
         edges, table, model = fit_artifacts(results[control_name].log, cfg)
@@ -562,7 +555,7 @@ def run_pipeline(config: dict, outdir: str | Path) -> dict:
         stage = "simulate-arms"
         rest = [a["name"] for a in cfg.arms if a["name"] != control_name]
         arm_policies = make_policies(cfg, table=table, model=model, arm_names=rest)
-        results.update((r.name, r) for r in run_arms(cfg, universe, arm_policies))
+        results.update((r.name, r) for r in run_paired_arms(universe, arm_policies, *loop))
 
         if cfg.write_logs:
             logs_dir = outdir / "logs"

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bucketizer import quantile_cuts
+from .bucketizer import bucket_thirds, quantile_cuts
 from .core import InteractionLog
 from .debias import DebiasConfig, debias_log, debias_scores, factor_source
 from .estimator import RegressorModel, forward
 
-LEVEL_LABELS = {3: ("low", "medium", "high")}
+LEVELS = ("low", "medium", "high")
 
 
 def novelty_mask(log: InteractionLog, window_days: float = 14.0) -> np.ndarray:
@@ -65,19 +65,17 @@ def per_user_wt_shares(
     return novel_wt, total_wt
 
 
-def familiar_share_by_time_quartile(
-    log: InteractionLog, window_days: float = 14.0, quartiles: int = 4
-) -> np.ndarray:
-    """Familiar watch-time share within consecutive spans of the run clock."""
+def familiar_share_by_time_quartile(log: InteractionLog, window_days: float = 14.0) -> np.ndarray:
+    """Familiar watch-time share within each quarter of the run clock."""
+    out = np.full(4, np.nan)
     if len(log) == 0:
-        return np.full(quartiles, np.nan)
+        return out
     ts = log.timestamps
     lo, hi = ts.min(), ts.max()
     span = max(hi - lo, 1e-9)
-    q = np.minimum((quartiles * (ts - lo) / span).astype(np.int64), quartiles - 1)
+    q = np.minimum((4 * (ts - lo) / span).astype(np.int64), 3)
     familiar = ~novelty_mask(log, window_days)
-    out = np.full(quartiles, np.nan)
-    for i in range(quartiles):
+    for i in range(4):
         sel = q == i
         total = log.watch_times[sel].sum()
         if total > 0:
@@ -108,39 +106,22 @@ def emerging_share_from_impressions(
     return emerging, total
 
 
-def _level_of(bucket: np.ndarray, n_buckets: int, n_levels: int) -> np.ndarray:
-    return np.minimum((n_levels * bucket) // max(n_buckets, 1), n_levels - 1)
-
-
-def _cuts_for(cuts_or_edges, log: InteractionLog, feature: str) -> np.ndarray:
-    if hasattr(cuts_or_edges, "cuts"):
-        return cuts_or_edges.cuts[log.schema.index_of(feature)]
-    return np.asarray(cuts_or_edges, dtype=np.float64)
-
-
 def score_distribution_by_bucket(
     log: InteractionLog,
     cuts: np.ndarray,
     feature: str,
     debiased: np.ndarray | None = None,
-    n_levels: int = 3,
 ) -> dict:
     """Score summary per coarse familiarity level of one feature.
 
-    ``cuts`` may be a raw cut-point array or fitted bucket edges. Buckets of
-    the feature collapse into ``n_levels`` levels (thirds by default); each
-    level reports count, mean, variance and deciles of the raw score and,
-    when provided, of the debiased score.
+    The feature's buckets under ``cuts`` collapse into the thirds of
+    ``LEVELS``; each level reports count, mean, variance and deciles of the
+    raw score and, when provided, of the debiased score.
     """
-    values = log.feature_column(feature)
-    cuts = _cuts_for(cuts, log, feature)
-    bucket = np.searchsorted(cuts, values, side="right")
-    n_buckets = cuts.size + 1
-    level = _level_of(bucket, n_buckets, n_levels)
-    labels = LEVEL_LABELS.get(n_levels, tuple(f"level_{i}" for i in range(n_levels)))
+    level = bucket_thirds(cuts, log.feature_column(feature))
     deciles = np.arange(10, 100, 10)
     out = {}
-    for i, label in enumerate(labels):
+    for i, label in enumerate(LEVELS):
         sel = level == i
         if not np.any(sel):
             out[label] = {"count": 0}
@@ -162,38 +143,23 @@ def score_distribution_by_bucket(
 
 
 def calibration_ratio(
-    model: RegressorModel,
-    log: InteractionLog,
-    feature: str,
-    k: int = 5,
-    cuts: np.ndarray | None = None,
+    model: RegressorModel, log: InteractionLog, feature: str, k: int = 5
 ) -> list[dict]:
     """Per-bucket mean predicted factor over mean observed score; ideal 1.
 
-    Buckets are equal-mass segments of the chosen feature (pass fitted edges
-    or a cut array to reuse existing boundaries); empty buckets are flagged
-    with a nan ratio rather than dropped.
+    Buckets are ``k`` equal-mass segments of the chosen feature, none empty.
     """
     values = log.feature_column(feature)
-    if cuts is None:
-        cuts, _ = quantile_cuts(values, k)
-    cuts = _cuts_for(cuts, log, feature)
+    cuts, _ = quantile_cuts(values, k)
     bucket = np.searchsorted(cuts, values, side="right")
     preds = forward(model, log.features)
     rows = []
     for b in range(cuts.size + 1):
         sel = bucket == b
-        n = int(sel.sum())
-        if n == 0:
-            rows.append(
-                {"bucket": b, "count": 0, "mean_prediction": float("nan"),
-                 "mean_label": float("nan"), "ratio": float("nan")}
-            )
-            continue
         mp = float(preds[sel].mean())
         ml = float(log.urps[sel].mean())
         rows.append(
-            {"bucket": b, "count": n, "mean_prediction": mp, "mean_label": ml,
+            {"bucket": b, "count": int(sel.sum()), "mean_prediction": mp, "mean_label": ml,
              "ratio": mp / ml}
         )
     return rows
@@ -205,28 +171,23 @@ def label_prediction_shift(
     config: DebiasConfig,
     feature: str,
     k: int = 5,
-    cuts: np.ndarray | None = None,
 ) -> list[dict]:
-    """Per-bucket mean label and prediction, before and after the correction."""
+    """Per-bucket mean label and prediction, before and after the correction.
+
+    The prediction is the artifact's factor. Buckets are ``k`` equal-mass
+    segments of the chosen feature, none empty.
+    """
     if len(log) == 0:
         raise ValueError("cannot compute shifts on an empty log")
     values = log.feature_column(feature)
-    if cuts is None:
-        cuts, _ = quantile_cuts(values, k)
-    cuts = _cuts_for(cuts, log, feature)
+    cuts, _ = quantile_cuts(values, k)
     bucket = np.searchsorted(cuts, values, side="right")
-    debiased, factors = debias_log(log, artifact, config)
+    debiased, preds = debias_log(log, artifact, config)
     _, ref_mean = factor_source(artifact)
-    if isinstance(artifact, RegressorModel):
-        preds = forward(artifact, log.features)
-    else:
-        preds = factors
-    preds_debiased = debias_scores(preds, factors, config, ref_mean)
+    preds_debiased = debias_scores(preds, preds, config, ref_mean)
     rows = []
     for b in range(cuts.size + 1):
         sel = bucket == b
-        if not np.any(sel):
-            continue
         rows.append(
             {
                 "bucket": b,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bucketizer import AdjustmentTable
+from .bucketizer import AdjustmentTable, bucket_thirds
 from .core import FeatureSchema, load
 from .debias import MODES, DebiasConfig, debias_scores, factor_source
 from .simulator import ControlPolicy, order_rows_by_key
@@ -176,9 +176,7 @@ class QuotaRerankPolicy:
     def _levels(self, pools, features, item_impressions) -> np.ndarray:
         if self.kind == "user":
             j = self.edges.schema.index_of(self.feature)
-            cuts = self.edges.cuts[j]
-            bucket = np.searchsorted(cuts, features[..., j], side="right")
-            return np.minimum((3 * bucket) // max(cuts.size + 1, 1), 2)
+            return bucket_thirds(self.edges.cuts[j], features[..., j])
         thresholds = popularity_terciles(item_impressions)
         pop = item_impressions[pools]
         return np.minimum(np.searchsorted(np.asarray(thresholds), pop, side="left"), 2)

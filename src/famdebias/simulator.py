@@ -56,8 +56,9 @@ class FeatureSpec:
             raise ValueError(
                 f"name: {self.name!r} is not in the simulator catalog {list(FEATURE_CATALOG)}"
             )
-        if self.kind not in DEFAULT_ALPHAS:
-            raise ValueError(f"kind: unknown feature kind {self.kind!r}")
+        kind = FEATURE_CATALOG[self.name]
+        if self.kind != kind:
+            raise ValueError(f"kind: {self.name!r} is a {kind!r} feature, got {self.kind!r}")
 
     def effective_alpha(self) -> float:
         return DEFAULT_ALPHAS[self.kind] if self.alpha is None else self.alpha
@@ -113,10 +114,8 @@ class InflationSpec:
         return out
 
     def g_many(self, features: np.ndarray) -> np.ndarray:
-        """Inflation factor per row; accepts (n,) or (..., n) arrays."""
+        """Inflation factor per row of a (..., arity) array."""
         features = np.asarray(features, dtype=np.float64)
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
         out = np.ones(features.shape[:-1])
         for j, f in enumerate(self.features):
             out = out * (1.0 + f.effective_alpha() * f.transform(features[..., j]))
@@ -326,41 +325,13 @@ class PoolPrior:
         return out
 
 
-class _PairStore:
-    """Sorted (user, id) key array with parallel value columns.
-
-    Keys are user * stride + id, so one store holds every user's rows and
-    lookups and upserts batch across users. A sentinel key above every real
-    key keeps the store non-empty, so each search lands on a valid slot.
-    """
-
-    __slots__ = ("stride", "keys", "columns")
-
-    def __init__(self, stride: int, n_columns: int):
-        self.stride = stride
-        self.keys = np.array([np.iinfo(np.int64).max])
-        self.columns = [np.zeros(1) for _ in range(n_columns)]
-
-    def key_of(self, users, ids) -> np.ndarray:
-        return np.asarray(users, dtype=np.int64) * self.stride + np.asarray(ids, dtype=np.int64)
-
-    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(positions, found mask) per query key."""
-        pos = np.searchsorted(self.keys, keys)
-        return pos, self.keys[pos] == keys
-
-    def insert(self, new_keys: np.ndarray, new_values: list[np.ndarray]) -> None:
-        """Insert sorted keys known to be absent; keeps the store sorted."""
-        pos = np.searchsorted(self.keys, new_keys)
-        self.keys = np.insert(self.keys, pos, new_keys)
-        self.columns = [np.insert(c, pos, v) for c, v in zip(self.columns, new_values)]
-
-
 class SessionState:
     """Per-user familiarity bookkeeping plus global exposure counters.
 
     (user, item) state, a watch count and the last watch timestamp, lives in
-    a sorted key store, because users x items is too large to hold densely.
+    arrays parallel to the sorted keys user * n_items + item, because users x
+    items is too large to hold densely. A sentinel key above every real key
+    keeps the keys non-empty, so each search lands on a valid slot.
     (user, creator) state is three dense (users, creators) float64 arrays:
     the watch count, the decayed interaction mass and the mass timestamp. An
     untouched cell is all zeros, so its mass reads 0.0 at any session time.
@@ -373,7 +344,9 @@ class SessionState:
     def __init__(self, universe: Universe, inflation: InflationSpec, cfg: SessionConfig):
         self.universe = universe
         self.inflation = inflation
-        self._items = _PairStore(universe.n_items, 2)  # count, last_ts
+        self._item_keys = np.array([np.iinfo(np.int64).max])
+        self._item_count = np.zeros(1)
+        self._item_ts = np.zeros(1)
         shape = (universe.n_users, universe.n_creators)
         self._creator_count = np.zeros(shape)
         self._creator_mass = np.zeros(shape)
@@ -387,9 +360,11 @@ class SessionState:
     def features_batch(self, user_ids: np.ndarray, pools: np.ndarray, now: float) -> np.ndarray:
         """Familiarity tensor (n_rows, pool, n_features) read at observation time."""
         rows = user_ids[:, None]
-        ipos, ifound = self._items.find(self._items.key_of(rows, pools))
-        watch_count = np.where(ifound, self._items.columns[0][ipos], 0.0)
-        last_ts = np.where(ifound, self._items.columns[1][ipos], 0.0)
+        ikeys = rows * self.universe.n_items + pools
+        ipos = np.searchsorted(self._item_keys, ikeys)
+        ifound = self._item_keys[ipos] == ikeys
+        watch_count = np.where(ifound, self._item_count[ipos], 0.0)
+        last_ts = np.where(ifound, self._item_ts[ipos], 0.0)
 
         creators = self.universe.item_creator[pools]
         total = self._total_mass[user_ids]
@@ -425,16 +400,21 @@ class SessionState:
         """
         rows = user_ids[:, None]
         now = float(timestamps.max())
-        ikeys = self._items.key_of(rows, items).ravel()
+        ikeys = (rows * self.universe.n_items + items).ravel()
         order = np.argsort(ikeys)
         ikeys_s = ikeys[order]
         ts_s = timestamps.ravel()[order]
-        pos, found = self._items.find(ikeys_s)
-        self._items.columns[0][pos[found]] += 1.0
-        self._items.columns[1][pos[found]] = ts_s[found]
+        pos = np.searchsorted(self._item_keys, ikeys_s)
+        found = self._item_keys[pos] == ikeys_s
+        self._item_count[pos[found]] += 1.0
+        self._item_ts[pos[found]] = ts_s[found]
         if not found.all():
+            # new keys go in sorted, at the slots the search found
             miss = ~found
-            self._items.insert(ikeys_s[miss], [np.ones(int(miss.sum())), ts_s[miss]])
+            at = pos[miss]
+            self._item_keys = np.insert(self._item_keys, at, ikeys_s[miss])
+            self._item_count = np.insert(self._item_count, at, 1.0)
+            self._item_ts = np.insert(self._item_ts, at, ts_s[miss])
 
         cells = (rows * self.universe.n_creators + self.universe.item_creator[items]).ravel()
         cells, events = np.unique(cells, return_counts=True)
@@ -521,25 +501,29 @@ def sample_pool(
     """Without-replacement candidate pool from one stream.
 
     Draws with replacement (uniformly, or from the static prior when one is
-    given) and keeps first occurrences, so the realized set depends only on
-    the stream. The returned ids are sorted ascending.
+    given) in rounds and keeps first occurrences, so the realized set
+    depends only on the stream. Each round dedupes only its own draws
+    against a mask of the values seen so far. The returned ids are sorted
+    ascending.
     """
     if size > n_items:
         raise ValueError("pool size exceeds catalog size")
-    need = size
+    seen = np.zeros(n_items, dtype=bool)
     chunks: list[np.ndarray] = []
+    need = size
     while True:
         n_draw = need + max(8, need // 2)
         if prior is None:
             draw = rng.integers(0, n_items, size=n_draw)
         else:
             draw = prior.draw(rng.random(n_draw))
-        chunks.append(draw)
-        allv = np.concatenate(chunks) if len(chunks) > 1 else draw
-        uniq, first = np.unique(allv, return_index=True)
-        if uniq.size >= size:
-            return np.sort(allv[np.sort(first)[:size]])
-        need = size - uniq.size
+        uniq, first = np.unique(draw, return_index=True)
+        new = draw[np.sort(first[~seen[uniq]])]  # this round's new values, in draw order
+        seen[new] = True
+        chunks.append(new[:need])
+        need -= chunks[-1].size
+        if need == 0:
+            return np.sort(np.concatenate(chunks))
 
 
 class SessionStreams:

@@ -31,9 +31,9 @@ def cell_of(vector, edges):
     return tuple(edges.assign_many(np.asarray([vector], dtype=np.float64))[0].tolist())
 
 
-def factor_of(table, vector, **kwargs):
+def factor_of(table, vector):
     """Looked-up factor of one familiarity vector (a one-row batch)."""
-    (factor,) = lookup_many(table, np.asarray([vector], dtype=np.float64), **kwargs)
+    (factor,) = lookup_many(table, np.asarray([vector], dtype=np.float64))
     return float(factor)
 
 
@@ -96,6 +96,19 @@ class TestQuantileCuts:
             assert counts.min() >= n // k - 1
             assert counts.max() <= -(-n // k) + 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=60),
+        k=st.integers(2, 10),
+    )
+    def test_no_bucket_is_empty(self, values, k):
+        # calibration and shift rows rely on it: every cut is a data value
+        # above the minimum, so each of the cuts.size + 1 buckets holds a value
+        values = np.asarray(values)
+        cuts, _ = quantile_cuts(values, k)
+        counts = np.bincount(np.searchsorted(cuts, values, side="right"), minlength=cuts.size + 1)
+        assert counts.size == cuts.size + 1 and counts.min() > 0
+
     def test_empty_and_bad_k(self):
         with pytest.raises(ValueError):
             quantile_cuts(np.array([]), 3)
@@ -121,8 +134,13 @@ class TestAssignCell:
         assert cell_of((25.0, 3.0), self.edges()) == (1, 1)
 
     def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\(n, arity\) with arity 2"):
             self.edges().assign_many(np.array([[1.0, 2.0, 3.0]]))
+
+    def test_one_vector_is_not_a_batch(self):
+        # a single familiarity vector must come as a (1, arity) batch
+        with pytest.raises(ValueError, match=r"\(n, arity\)"):
+            self.edges().assign_many(np.array([25.0, 3.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_rejected_with_name_and_first_row(self, bad):
@@ -153,34 +171,42 @@ class TestFitTable:
     def test_cell_factor_is_exact_mean_without_guardrails(self):
         log = make_log([0.0, 0.0, 0.0, 9.0], [2.0, 2.0, 2.0, 8.0], SCHEMA_1)
         edges = fit_edges(log, SCHEMA_1, k=2)
-        table = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=None)
-        assert table.cell_factor((0,)) == pytest.approx(2.0, abs=0)
+        table = fit_table(
+            log, edges, smoothing_prior_weight=0.0, clip_bounds=None, min_cell_count=0
+        )
+        assert factor_of(table, [0.0]) == pytest.approx(2.0, abs=0)
 
     def test_empty_cell_with_prior_returns_global_mean(self):
         log = make_log([0.0, 0.0, 9.0], [2.0, 2.0, 5.0], SCHEMA_1)
         edges = BucketEdges(schema=SCHEMA_1, cuts=[np.array([5.0, 8.0])], nominal_k=3)
-        table = fit_table(log, edges, smoothing_prior_weight=1.0, clip_bounds=None)
+        table = fit_table(
+            log, edges, smoothing_prior_weight=1.0, clip_bounds=None, min_cell_count=0
+        )
         gm = table.global_mean
         # middle bucket (5 <= x < 8) saw no data: prior-only factor
-        assert table.cell_count((1,)) == 0
-        assert factor_of(table, [6.0], min_cell_count=0) == pytest.approx(gm)
+        assert cell_of([6.0], edges) == (1,) and table.counts[1] == 0
+        assert factor_of(table, [6.0]) == pytest.approx(gm)
 
     def test_clip_bounds_cap_extreme_cells(self):
         log = make_log([0.0] * 10 + [9.0], [1.0] * 10 + [100.0], SCHEMA_1)
         edges = fit_edges(log, SCHEMA_1, k=2)
-        table = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=(0.5, 2.0))
+        table = fit_table(
+            log, edges, smoothing_prior_weight=0.0, clip_bounds=(0.5, 2.0), min_cell_count=0
+        )
         gm = table.global_mean
-        assert table.cell_factor((1,)) == pytest.approx(2.0 * gm)
+        assert factor_of(table, [9.0]) == pytest.approx(2.0 * gm)
         assert np.all(table.factors >= 0.5 * gm - 1e-12)
         assert np.all(table.factors <= 2.0 * gm + 1e-12)
 
     def test_smoothing_shrinks_toward_global_mean(self):
         log = make_log([0.0, 0.0, 9.0, 9.0], [1.0, 1.0, 3.0, 3.0], SCHEMA_1)
         edges = fit_edges(log, SCHEMA_1, k=2)
-        raw = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=None)
-        smoothed = fit_table(log, edges, smoothing_prior_weight=10.0, clip_bounds=None)
+        raw = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=None, min_cell_count=0)
+        smoothed = fit_table(
+            log, edges, smoothing_prior_weight=10.0, clip_bounds=None, min_cell_count=0
+        )
         gm = raw.global_mean
-        assert abs(smoothed.cell_factor((0,)) - gm) < abs(raw.cell_factor((0,)) - gm)
+        assert abs(factor_of(smoothed, [0.0]) - gm) < abs(factor_of(raw, [0.0]) - gm)
 
     def test_empty_log_rejected(self):
         log = make_log(np.zeros((0, 1)), [], SCHEMA_1)
@@ -264,20 +290,26 @@ class TestFitRejectsBadLogs:
 class TestLookup:
     def test_trusted_cell_returns_cell_factor(self):
         table = _manual_table([[1.0, 1.0], [1.0, 1.0]], [[1, 1], [1, 1]])
-        table.factors[table.cell_code((1, 1))] = 3.5
-        table.counts[table.cell_code((1, 1))] = 100
-        assert factor_of(table, [2.0, 2.0], min_cell_count=10) == 3.5
+        code = np.ravel_multi_index(cell_of([2.0, 2.0], table.edges), table.dims)
+        table.factors[code] = 3.5
+        table.counts[code] = 100
+        assert factor_of(table, [2.0, 2.0]) == 3.5
 
     def test_sparse_cell_backs_off_to_marginal_geometric_mean(self):
         table = _manual_table([[9.0, 1.5], [9.0, 2.0]], [[5, 5], [5, 5]])
-        table.counts[table.cell_code((1, 1))] = 2
-        assert factor_of(table, [2.0, 2.0], min_cell_count=10) == pytest.approx(
+        table.counts[np.ravel_multi_index(cell_of([2.0, 2.0], table.edges), table.dims)] = 2
+        assert factor_of(table, [2.0, 2.0]) == pytest.approx(
             np.sqrt(3.0)
         )
 
     def test_unseen_cell_with_empty_marginals_returns_global_mean(self):
         table = _manual_table([[2.0, 2.0], [2.0, 2.0]], [[3, 0], [3, 0]], gm=7.0)
-        assert factor_of(table, [5.0, 5.0], min_cell_count=10) == 7.0
+        assert factor_of(table, [5.0, 5.0]) == 7.0
+
+    def test_one_vector_is_not_a_batch(self):
+        table = _manual_table([[1.0, 1.0], [1.0, 1.0]], [[1, 1], [1, 1]])
+        with pytest.raises(ValueError, match=r"\(n, arity\)"):
+            lookup_many(table, np.array([2.0, 2.0]))
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(7)
@@ -331,8 +363,10 @@ class TestTableProperties:
         urps = rng.lognormal(0.5, 0.6, 5000)
         log = make_log(feats, urps, SCHEMA_2)
         edges = fit_edges(log, SCHEMA_2, k=4)
-        table = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=None)
-        factors = lookup_many(table, feats, min_cell_count=1)
+        table = fit_table(
+            log, edges, smoothing_prior_weight=0.0, clip_bounds=None, min_cell_count=1
+        )
+        factors = lookup_many(table, feats)
         debiased = urps / factors
         cells = edges.assign_many(feats)
         codes = np.ravel_multi_index(cells.T, edges.dims)

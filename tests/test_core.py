@@ -264,7 +264,7 @@ class TestJsonlRoundTrip:
         path = tmp_path / "log.jsonl"
         write_jsonl(log, path)
         back = read_jsonl(path, SCHEMA)
-        assert back.has_oracle
+        assert back.true_quality is not None and back.inflation is not None
         assert np.array_equal(back.true_quality, log.true_quality)
         assert np.array_equal(back.inflation, log.inflation)
 
@@ -401,7 +401,7 @@ class TestReadErrors:
     def test_oracle_rows_across_blocks(self, tmp_path):
         rows = [good_line(true_quality=1.5, inflation=2.0)] * (BLOCK + 5)
         back = read_jsonl(write_lines(tmp_path / "log.jsonl", rows), SCHEMA)
-        assert back.has_oracle and len(back) == BLOCK + 5
+        assert len(back) == BLOCK + 5
         assert np.all(back.true_quality == 1.5) and np.all(back.inflation == 2.0)
         bare = rows + [good_line()]
         with pytest.raises(LogValidationError) as exc:
@@ -426,7 +426,7 @@ class TestReadErrors:
     def test_empty_file_reads_as_empty_log(self, tmp_path):
         back = read_jsonl(write_lines(tmp_path / "log.jsonl", []), SCHEMA)
         assert len(back) == 0 and back.features.shape == (0, 3)
-        assert not back.has_oracle
+        assert back.true_quality is None and back.inflation is None
 
     def test_mixed_id_types_match_whole_file_conversion(self, tmp_path):
         rows = [good_line(user_id=k) for k in range(BLOCK)] + [good_line(user_id="u")]
@@ -465,7 +465,7 @@ class TestInteractionLog:
         assert back.users.tolist() == ["u1"] * 4
         assert np.array_equal(back.urps, log.urps)
         assert np.array_equal(back.features, log.features)
-        assert not back.has_oracle
+        assert back.true_quality is None and back.inflation is None
 
 
 @dataclass(frozen=True)

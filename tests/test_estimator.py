@@ -160,19 +160,19 @@ class TestNormalize:
         norm = Normalizer(
             log1p_mask=np.array([True]), mean=np.zeros(1), std=np.ones(1)
         )
-        assert norm.apply(np.array([0.0]))[0] == 0.0
+        assert norm.apply(np.array([[0.0]]))[0, 0] == 0.0
 
     def test_count_e_minus_one_maps_to_one_in_log_space(self):
         norm = Normalizer(
             log1p_mask=np.array([True]), mean=np.zeros(1), std=np.ones(1)
         )
-        assert norm.apply(np.array([np.e - 1.0]))[0] == pytest.approx(1.0)
+        assert norm.apply(np.array([[np.e - 1.0]]))[0, 0] == pytest.approx(1.0)
 
     def test_training_set_means_standardize_to_zero(self):
         rng = np.random.default_rng(2)
         feats = rng.uniform(0, 5, size=(200, 2))
         norm = Normalizer.fit(feats, SCHEMA_2A)
-        out = norm.apply(feats.mean(axis=0))
+        out = norm.apply(feats.mean(axis=0, keepdims=True))
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_count_features_fit_in_log_space(self):
@@ -189,8 +189,13 @@ class TestNormalize:
         assert np.all(np.isfinite(norm.apply(feats)))
 
     def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            identity_normalizer(2).apply(np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match=r"\(n, arity\) with arity 2"):
+            identity_normalizer(2).apply(np.array([[1.0, 2.0, 3.0]]))
+
+    def test_one_vector_is_not_a_batch(self):
+        # a single familiarity vector must come as a (1, arity) batch
+        with pytest.raises(ValueError, match=r"\(n, arity\)"):
+            identity_normalizer(2).apply(np.array([1.0, 2.0]))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 40),
@@ -208,19 +213,24 @@ class TestNormalize:
         assert np.array_equal(bits(norm.apply(feats)), bits(want))
         assert np.array_equal(feats, before)
         if rows:
-            assert np.array_equal(bits(norm.apply(feats[0])), bits(want[0]))
+            assert np.array_equal(bits(norm.apply(feats[:1])), bits(want[:1]))
 
 
 class TestForward:
     def test_all_zero_weights_give_ln2(self):
         model = constant_model(3)
-        out = forward(model, np.array([5.0, -2.0, 0.3]))
-        assert out == pytest.approx(np.log(2.0), rel=1e-12)
+        out = forward(model, np.array([[5.0, -2.0, 0.3]]))
+        assert out.shape == (1,)
+        assert out[0] == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_deterministic(self):
         model = random_model(3, seed=9)
-        x = np.array([0.5, -1.0, 2.0])
-        assert forward(model, x) == forward(model, x)
+        x = np.array([[0.5, -1.0, 2.0]])
+        assert np.array_equal(forward(model, x), forward(model, x))
+
+    def test_one_vector_is_not_a_batch(self):
+        with pytest.raises(ValueError, match=r"\(n, arity\)"):
+            forward(random_model(3, seed=9), np.array([0.5, -1.0, 2.0]))
 
     def test_strictly_positive_on_fuzz(self):
         model = random_model(3, seed=10)

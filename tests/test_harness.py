@@ -97,6 +97,11 @@ BAD_KEYS = {
     "slate-size-negative": (("session",), Merge(slate_size=-1, consume_top_k=-2),
                             "session.slate_size"),
     "consume-top-k-negative": (("session", "consume_top_k"), -1, "session.consume_top_k"),
+    # a valid simulator setting, but a run would have no records to fit on
+    "consume-top-k-0": (("session", "consume_top_k"), 0, "session.consume_top_k"),
+    # a count declared as recency would inflate never-watched items
+    "feature-kind-mismatch": (("inflation", "features", 0, "kind"), "recency",
+                              "inflation.features[0].kind"),
 }
 
 MALFORMED_CONFIGS = (

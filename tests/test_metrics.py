@@ -214,14 +214,6 @@ class TestScoreDistribution:
         dist = score_distribution_by_bucket(log, edges.cuts[0], "x")
         assert dist["high"]["mean"] > dist["low"]["mean"]
 
-    def test_single_level_equals_global_summary(self):
-        log, edges, _ = exact_mean_log_and_table()
-        dist = score_distribution_by_bucket(log, edges.cuts[0], "x", n_levels=1)
-        (entry,) = dist.values()
-        assert entry["count"] == len(log)
-        assert entry["mean"] == pytest.approx(float(log.urps.mean()))
-        assert entry["deciles"][4] == pytest.approx(float(np.percentile(log.urps, 50)))
-
 
 def constant_prediction_model(value: float) -> RegressorModel:
     return RegressorModel(
@@ -263,13 +255,6 @@ class TestCalibration:
         rows = calibration_ratio(model, log, "x", k=5)
         ratios = [r["ratio"] for r in rows if r["count"] > 0]
         assert np.all(np.diff(ratios) < 0)
-
-    def test_empty_bucket_flagged(self):
-        log, _, _ = exact_mean_log_and_table(n=200)
-        model = constant_prediction_model(1.0)
-        rows = calibration_ratio(model, log, "x", k=3,
-                                 cuts=np.array([0.5, 2.0, 3.0]))
-        assert any(np.isnan(r["ratio"]) and r["count"] == 0 for r in rows)
 
 
 class TestLabelPredictionShift:

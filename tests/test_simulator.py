@@ -4,7 +4,6 @@ import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from famdebias.bucketizer import BucketEdges
 from famdebias.core import load
-from famdebias.harness import ExperimentConfig, run_arms, run_pipeline
+from famdebias.harness import ExperimentConfig, run_pipeline
 from famdebias.metrics import experiment_report, familiar_share_by_time_quartile
 from famdebias.policies import (
     BoostRule,
@@ -74,9 +73,8 @@ def consume(state, user, items, timestamps):
 
 
 def arm_results(uni, policies, spec, cfg, seed):
-    """Every arm through the pipeline's shared arm loop."""
-    experiment = SimpleNamespace(inflation=spec, session=cfg, experiment_seed=seed)
-    return {r.name: r for r in run_arms(experiment, uni, policies)}
+    """Every arm through the pipeline's shared arm loop, by name."""
+    return {r.name: r for r in run_paired_arms(uni, policies, spec, cfg, seed)}
 
 
 class TestTrueQuality:
@@ -117,13 +115,19 @@ class TestTrueQuality:
 class TestInflation:
     def test_fresh_pair_gets_factor_one(self):
         fresh = SPEC.fresh_vector()
-        assert SPEC.g_many(fresh)[0] == pytest.approx(1.0, abs=1e-15)
+        assert SPEC.g_many(fresh[None])[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_count_contribution_by_hand(self):
         spec = InflationSpec(
             features=(FeatureSpec("item_watch_count", "count", 0.6),), noise_sigma=0.0
         )
-        assert spec.g_many(np.array([np.e - 1.0]))[0] == pytest.approx(1.6)
+        assert spec.g_many(np.array([[np.e - 1.0]]))[0] == pytest.approx(1.6)
+
+    def test_kind_must_match_the_catalog(self):
+        # a count declared as recency would inflate a never-watched item by
+        # 1 + alpha * exp(0) instead of 1
+        with pytest.raises(ValueError, match="kind: 'item_watch_count' is a 'count' feature"):
+            FeatureSpec("item_watch_count", "recency")
 
     def test_factor_at_least_one_for_nonnegative_alphas(self):
         rng = np.random.default_rng(1)
@@ -154,7 +158,7 @@ class TestObserve:
         assert b[0] == 0.0 and b[2] == 0.0
         assert b[1] == 365.0
         # score = quality * g(b) * exp(0): a fresh pair carries no inflation
-        urps = quality(uni, 5, 9) * spec.g_many(b)[0]
+        urps = quality(uni, 5, 9) * spec.g_many(b[None])[0]
         assert urps == pytest.approx(quality(uni, 5, 9))
 
     def test_consumed_item_carries_inflation(self):
@@ -167,7 +171,7 @@ class TestObserve:
         b = features_of(state, 7, [3], now)[0]
         assert b[0] == 1.0
         assert b[1] == pytest.approx(2.0)
-        urps = quality(uni, 7, 3) * spec.g_many(b)[0]
+        urps = quality(uni, 7, 3) * spec.g_many(b[None])[0]
         assert urps > quality(uni, 7, 3)
 
     def test_mean_of_repeated_draws_matches_lognormal_oracle(self):
@@ -180,7 +184,7 @@ class TestObserve:
         # one state read, many draws: same layout as repeated observation
         b = features_of(state, 2, [8], now)[0]
         q = quality(uni, 2, 8)
-        g = SPEC.g_many(b)[0]
+        g = SPEC.g_many(b[None])[0]
         draws = q * g * np.exp(SPEC.noise_sigma * rng.standard_normal(100_000))
         expected = q * g * np.exp(SPEC.noise_sigma**2 / 2)
         assert draws.mean() == pytest.approx(expected, rel=0.01)
@@ -237,6 +241,24 @@ class TestPoolsAndStreams:
         prior = PoolPrior.build(5000, cfg.pool_skew)
         streams = SessionStreams(1, 0, 200, 5000, cfg, prior=prior)
         assert np.median(streams.pools) < 2500 * 0.5
+
+
+def sample_pool_oracle(rng, n_items, size, prior=None):
+    """The ``np.unique`` over every draw so far, per round, that ``sample_pool`` replaced."""
+    need = size
+    chunks = []
+    while True:
+        n_draw = need + max(8, need // 2)
+        if prior is None:
+            draw = rng.integers(0, n_items, size=n_draw)
+        else:
+            draw = prior.draw(rng.random(n_draw))
+        chunks.append(draw)
+        allv = np.concatenate(chunks) if len(chunks) > 1 else draw
+        uniq, first = np.unique(allv, return_index=True)
+        if uniq.size >= size:
+            return np.sort(allv[np.sort(first)[:size]])
+        need = size - uniq.size
 
 
 def dedupe_oracle(streams, pool_ints, size):
@@ -343,6 +365,23 @@ class TestKernelOracles:
         deduped = streams._dedupe(pool_ints, size)
         assert deduped.dtype == np.int64
         assert np.array_equal(deduped, dedupe_oracle(streams, pool_ints, size))
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_items=st.integers(1, 300),
+        size=st.integers(0, 12),
+        skew=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sample_pool_equals_unique_per_round_oracle(self, n_items, size, skew, seed):
+        # a strong skew on a small catalog takes many rounds to fill a pool
+        size = min(size, n_items)
+        prior = PoolPrior.build(n_items, skew) if skew > 0 else None
+        got = sample_pool(np.random.default_rng(seed), n_items, size, prior=prior)
+        want = sample_pool_oracle(np.random.default_rng(seed), n_items, size, prior=prior)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 class TestStepAndConservation:
@@ -735,7 +774,7 @@ class TestSyntheticSampler:
         )
         # aggregate identity: mean urps over draws matches the oracle mean
         assert log.urps.mean() == pytest.approx(expected.mean(), rel=0.02)
-        assert log.has_oracle
+        assert log.true_quality is not None and log.inflation is not None
 
     def test_fixed_quality_mode(self):
         uni = small_universe(seed=22)

@@ -1,24 +1,35 @@
-"""The benchmark's tracer must find every name it wraps in the package.
+"""The benchmark's tracer and workloads must run against the package.
 
 ``perfbench/spans.py`` skips a missing (owner, attribute) with a warning, so a
 renamed function would silently move its time into the caller's self time.
-This test reads the tracer's table without changing it.
+The smoke test runs each ``perfbench/workloads.py`` workload once, so a call
+the benchmark makes, or a per-arm report metric past its reference
+tolerance, fails here too. Neither test changes the benchmark's files.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 from famdebias import bucketizer, core, debias, estimator, harness, metrics, policies, simulator
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    # the module's dataclasses look their module up in sys.modules
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+workloads = load_module("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
 
 
 def test_every_traced_name_exists():
@@ -26,7 +37,7 @@ def test_every_traced_name_exists():
         bucketizer=bucketizer, core=core, debias=debias, estimator=estimator,
         harness=harness, metrics=metrics, policies=policies, simulator=simulator,
     )
-    table = load_spans().patch_table(fd)
+    table = load_module("perfbench_spans", SPANS).patch_table(fd)
     assert table
     # the tracer looks names up in the owner's own namespace, not inherited ones
     missing = [
@@ -35,3 +46,13 @@ def test_every_traced_name_exists():
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_workload_runs_clean(name, tmp_path):
+    workload = workloads.WORKLOADS[name](ROOT, 1, tmp_path)
+    workload.setup()
+    workload.main(None)
+    outcome = workload.after()
+    assert outcome.errors == []
+    assert outcome.failed_requests == 0
