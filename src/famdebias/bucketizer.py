@@ -122,7 +122,7 @@ def bucket_thirds(cuts: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.minimum((3 * bucket) // (len(cuts) + 1), 2)
 
 
-def fit_edges(log: InteractionLog, schema: FeatureSchema, k: int = 5) -> BucketEdges:
+def fit_edges(log: InteractionLog, schema: FeatureSchema, k: int) -> BucketEdges:
     """Fit equal-mass bucket edges per feature; constants yield one bucket."""
     if len(log) == 0:
         raise ValueError("cannot fit edges on an empty log")
@@ -267,9 +267,9 @@ def check_table_settings(
 def fit_table(
     log: InteractionLog,
     edges: BucketEdges,
-    smoothing_prior_weight: float = 10.0,
-    clip_bounds: tuple[float, float] | None = (0.5, 2.0),
-    min_cell_count: int = 50,
+    smoothing_prior_weight: float,
+    clip_bounds: tuple[float, float] | None,
+    min_cell_count: int,
 ) -> AdjustmentTable:
     """Fit the per-cell adjustment table on a log of finite features and positive scores.
 

@@ -93,12 +93,10 @@ def _cmd_fit(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _, table, model = fit_artifacts(log, cfg)
-    if args.mode in ("both", "discrete"):
-        table.save(outdir / "table.json")
-        print(f"wrote {outdir / 'table.json'}")
-    if args.mode in ("both", "continuous"):
-        model.save(outdir / "model.json")
-        print(f"wrote {outdir / 'model.json'}")
+    table.save(outdir / "table.json")
+    print(f"wrote {outdir / 'table.json'}")
+    model.save(outdir / "model.json")
+    print(f"wrote {outdir / 'model.json'}")
     cfg.schema.save(outdir / "schema.json")
     return EXIT_OK
 
@@ -275,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--log", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("both", "discrete", "continuous"), default="both")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("debias", help="rank a slate file with a fitted artifact")

@@ -202,21 +202,6 @@ class InteractionLog:
     def feature_column(self, name: str) -> np.ndarray:
         return self.features[:, self.schema.index_of(name)]
 
-    def subset(self, mask_or_index: np.ndarray) -> "InteractionLog":
-        sel = mask_or_index
-        return InteractionLog(
-            schema=self.schema,
-            users=self.users[sel],
-            items=self.items[sel],
-            creators=self.creators[sel],
-            timestamps=self.timestamps[sel],
-            watch_times=self.watch_times[sel],
-            urps=self.urps[sel],
-            features=self.features[sel],
-            true_quality=None if self.true_quality is None else self.true_quality[sel],
-            inflation=None if self.inflation is None else self.inflation[sel],
-        )
-
 
 def validate_log(log: InteractionLog) -> InteractionLog:
     """Return the log unchanged, raising ``LogValidationError`` on any bad row.

@@ -105,14 +105,6 @@ class InflationSpec:
             monotonicity=tuple(_KIND_MONOTONICITY[f.kind] for f in self.features),
         )
 
-    def fresh_vector(self) -> np.ndarray:
-        """Familiarity of a never-interacted pair."""
-        out = np.zeros(len(self.features))
-        for j, f in enumerate(self.features):
-            if f.kind == "recency":
-                out[j] = f.cap_days
-        return out
-
     def g_many(self, features: np.ndarray) -> np.ndarray:
         """Inflation factor per row of a (..., arity) array."""
         features = np.asarray(features, dtype=np.float64)
@@ -124,7 +116,7 @@ class InflationSpec:
 
 @dataclass(frozen=True)
 class UniverseConfig:
-    """The ``universe`` section: ``Universe.build``'s arguments, size-checked."""
+    """The ``universe`` section: ``Universe.build``'s argument, size-checked."""
 
     users: int
     items: int
@@ -154,37 +146,24 @@ class Universe:
         item_vectors: np.ndarray,
         item_creator: np.ndarray,
         creator_recent: np.ndarray,
-        seed: int,
-        params: dict,
+        config: UniverseConfig,
     ):
         self.user_vectors = user_vectors
         self.item_vectors = item_vectors
         self.item_creator = item_creator
         self.creator_recent = creator_recent
-        self.seed = seed
-        self.params = params
+        self.config = config
 
     @classmethod
-    def build(
-        cls,
-        users: int,
-        items: int,
-        creators: int,
-        latent_dim: int = 8,
-        creator_size_exponent: float = 1.2,
-        recent_fraction: float = 0.3,
-        seed: int = 0,
-    ) -> "Universe":
-        config = UniverseConfig(
-            users, items, creators, seed, latent_dim, creator_size_exponent, recent_fraction
-        )
-        rng = np.random.default_rng(seed)
-        user_vectors = rng.standard_normal((users, latent_dim))
-        item_vectors = rng.standard_normal((items, latent_dim))
+    def build(cls, config: UniverseConfig) -> "Universe":
+        users, items, creators = config.users, config.items, config.creators
+        rng = np.random.default_rng(config.seed)
+        user_vectors = rng.standard_normal((users, config.latent_dim))
+        item_vectors = rng.standard_normal((items, config.latent_dim))
         # power-law creator catalog sizes; every creator owns at least one
         # item (coverage block sits at the tail indices so a head-heavy pool
         # prior leaves the creator-size structure intact)
-        weights = np.arange(1, creators + 1, dtype=np.float64) ** (-creator_size_exponent)
+        weights = np.arange(1, creators + 1, dtype=np.float64) ** (-config.creator_size_exponent)
         probs = weights / weights.sum()
         item_creator = np.concatenate(
             [
@@ -195,7 +174,7 @@ class Universe:
         # recent joiners are drawn from the smaller-catalog tail
         tail_start = int(0.4 * creators)
         tail = np.arange(tail_start, creators)
-        n_recent = min(int(round(recent_fraction * creators)), tail.size)
+        n_recent = min(int(round(config.recent_fraction * creators)), tail.size)
         recent = np.zeros(creators, dtype=bool)
         if n_recent > 0:
             recent[rng.choice(tail, size=n_recent, replace=False)] = True
@@ -204,8 +183,7 @@ class Universe:
             item_vectors=item_vectors,
             item_creator=item_creator,
             creator_recent=recent,
-            seed=seed,
-            params={k: v for k, v in asdict(config).items() if k != "seed"},
+            config=config,
         )
 
     @property
@@ -231,9 +209,10 @@ class Universe:
         return np.exp(dots / np.sqrt(self.latent_dim))
 
     def manifest(self) -> dict:
+        params = asdict(self.config)
         return {
-            "seed": self.seed,
-            "params": self.params,
+            "seed": params.pop("seed"),
+            "params": params,
             "creator_recent": self.creator_recent.astype(int).tolist(),
             "creator_item_counts": np.bincount(
                 self.item_creator, minlength=self.n_creators
@@ -261,7 +240,6 @@ class SessionConfig:
     wt_familiarity_weight: float = 0.0
     affinity_half_life_days: float = 14.0
     start_day: float = 1.0
-    candidate_sample_users: int = 0
 
     def __post_init__(self) -> None:
         if self.slate_size < 1:
@@ -278,8 +256,6 @@ class SessionConfig:
             raise ValueError("pool skew must be >= 0")
         if self.wt_scale <= 0 or self.affinity_half_life_days <= 0:
             raise ValueError("wt scale and affinity half-life must be positive")
-        if self.candidate_sample_users < 0:
-            raise ValueError("candidate sample size must be >= 0")
         if self.start_day <= 0:
             # log timestamps must be positive, and the session's time is
             # (start_day + session) days
@@ -323,6 +299,20 @@ class PoolPrior:
         split = lo != self.guide[b + 1]
         out[split] = np.searchsorted(self.cdf, u[split], side="right")
         return out
+
+
+def expected_distinct(n_items: int, skew: float, draws: int) -> float:
+    """Expected number of distinct items in ``draws`` draws from the pool prior.
+
+    E(D) = sum_i 1 - (1 - p_i)**D over the item weights (i + 1)**-skew (the
+    unequal-probability coupon collector; Flajolet, Gardy and Thimonier,
+    1992); skew 0 is the uniform draw. E grows with D, and over more than
+    one item it stays below ``n_items`` for every D.
+    """
+    weights = np.arange(1, n_items + 1, dtype=np.float64) ** (-skew)
+    with np.errstate(divide="ignore"):  # a one-item catalog has p = 1
+        log_miss = np.log1p(-weights / weights.sum())
+    return float(-np.expm1(draws * log_miss).sum())
 
 
 class SessionState:
@@ -637,7 +627,6 @@ class ArmResult:
     log: InteractionLog
     item_impressions: np.ndarray
     user_creator_impressions: np.ndarray
-    candidate_log: InteractionLog | None = None
 
 
 class _LogColumns:
@@ -684,7 +673,6 @@ def step_session(
     cfg: SessionConfig,
     draws: SessionDraws,
     log: _LogColumns,
-    candidates: _LogColumns | None = None,
 ) -> None:
     """Advance every user of one arm by one session against the shared draws.
 
@@ -701,22 +689,6 @@ def step_session(
     q = draws.quality
     g = inflation.g_many(feats)
     urps = q * g * draws.noise
-
-    if candidates is not None:
-        # every scored candidate for the first m users, before any ranking
-        # cutoff: the selection-free view of the score-familiarity coupling
-        m = min(cfg.candidate_sample_users, n_users)
-        candidates.put(
-            draws.session,
-            users=np.repeat(user_ids[:m], cfg.pool_size),
-            items=pools[:m],
-            timestamps=np.full(m * cfg.pool_size, now),
-            watch_times=np.zeros(m * cfg.pool_size),
-            urps=urps[:m],
-            features=feats[:m],
-            quality=q[:m],
-            inflation=g[:m],
-        )
 
     order = policy.rank_batch(pools, urps, feats, state.item_impressions)
     slate = order[:, : cfg.slate_size]
@@ -767,31 +739,25 @@ def run_paired_arms(
     if not policies:
         return []
     schema = inflation.schema()
-    n_users = universe.n_users
-    m = min(cfg.candidate_sample_users, n_users)
     names = list(policies)
     states = [SessionState(universe, inflation, cfg) for _ in names]
     logs = [
-        _LogColumns(n_users * cfg.consume_top_k, cfg.sessions, schema.arity) for _ in names
-    ]
-    candidates = [
-        _LogColumns(m * cfg.pool_size, cfg.sessions, schema.arity) if m > 0 else None
+        _LogColumns(universe.n_users * cfg.consume_top_k, cfg.sessions, schema.arity)
         for _ in names
     ]
     prior = PoolPrior.build(universe.n_items, cfg.pool_skew) if cfg.pool_skew > 0 else None
     for session in range(cfg.sessions):
         draws = SessionDraws.build(universe, inflation, cfg, session, seed, prior)
-        for name, state, log, cand in zip(names, states, logs, candidates):
-            step_session(universe, state, policies[name], inflation, cfg, draws, log, cand)
+        for name, state, log in zip(names, states, logs):
+            step_session(universe, state, policies[name], inflation, cfg, draws, log)
     return [
         ArmResult(
             name=name,
             log=log.to_log(universe, schema),
             item_impressions=state.item_impressions,
             user_creator_impressions=state.user_creator_impressions,
-            candidate_log=None if cand is None else cand.to_log(universe, schema),
         )
-        for name, state, log, cand in zip(names, states, logs, candidates)
+        for name, state, log in zip(names, states, logs)
     ]
 
 

@@ -24,6 +24,7 @@ from famdebias.simulator import (
     InflationSpec,
     SessionConfig,
     Universe,
+    UniverseConfig,
     run_arm,
     synthetic_training_log,
 )
@@ -77,7 +78,7 @@ class TestCriterion2DiscreteOracle:
             ),
             noise_sigma=0.0,
         )
-        universe = Universe.build(users=600, items=6000, creators=200, seed=901)
+        universe = Universe.build(UniverseConfig(users=600, items=6000, creators=200, seed=901))
         cfg = SessionConfig(
             sessions=30, pool_size=120, slate_size=16, consume_top_k=8, pool_skew=0.8
         )
@@ -116,7 +117,7 @@ class TestCriterion3ContinuousOracle:
             ),
             noise_sigma=0.2,
         )
-        universe = Universe.build(users=500, items=3000, creators=100, seed=911)
+        universe = Universe.build(UniverseConfig(users=500, items=3000, creators=100, seed=911))
         log = synthetic_training_log(
             universe, spec, n=100_000, seed=912, recency_spread_days=90.0,
             fixed_quality=2.0,

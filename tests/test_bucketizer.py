@@ -14,7 +14,7 @@ from famdebias.bucketizer import (
     quantile_cuts,
 )
 from famdebias.core import FeatureSchema, InteractionLog
-from famdebias.simulator import InflationSpec, Universe, synthetic_training_log
+from famdebias.simulator import InflationSpec, Universe, UniverseConfig, synthetic_training_log
 
 SCHEMA_1 = FeatureSchema(
     names=("x",), kinds=("count",), monotonicity=("increasing-with-familiarity",)
@@ -152,7 +152,7 @@ class TestAssignCell:
         log = make_log(
             np.column_stack([np.arange(40.0), np.arange(40.0) % 7]), np.ones(40), SCHEMA_2
         )
-        table = fit_table(log, fit_edges(log, SCHEMA_2, k=3), min_cell_count=1)
+        table = fit_table(log, fit_edges(log, SCHEMA_2, k=3), 10.0, (0.5, 2.0), min_cell_count=1)
         with pytest.raises(ValueError, match=r"feature 'x'.*row 0"):
             lookup_many(table, np.array([[np.nan, 1.0]]))
 
@@ -262,29 +262,29 @@ class TestFitRejectsBadLogs:
 
     @pytest.fixture
     def log(self):
-        uni = Universe.build(users=20, items=200, creators=10, seed=3)
+        uni = Universe.build(UniverseConfig(users=20, items=200, creators=10, seed=3))
         return synthetic_training_log(uni, self.SPEC, n=2000, seed=4)
 
     def test_nan_feature_rejected_by_fit_edges(self, log):
         # unchecked, a NaN leaves the feature without cuts: one bucket, silently
         log.features[5, 1] = np.nan
         with pytest.raises(ValueError, match="feature"):
-            fit_edges(log, self.SPEC.schema())
+            fit_edges(log, self.SPEC.schema(), k=5)
 
     def test_nan_feature_rejected_by_fit_table(self, log):
-        edges = fit_edges(log, self.SPEC.schema())
+        edges = fit_edges(log, self.SPEC.schema(), k=5)
         log.features[5, 1] = np.nan
         with pytest.raises(ValueError, match="feature"):
-            fit_table(log, edges)
+            fit_table(log, edges, 10.0, (0.5, 2.0), min_cell_count=50)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_bad_urps_rejected_by_fit_edges_and_fit_table(self, log, bad):
-        edges = fit_edges(log, self.SPEC.schema())
+        edges = fit_edges(log, self.SPEC.schema(), k=5)
         log.urps[7] = bad
         with pytest.raises(ValueError, match="URPS"):
-            fit_edges(log, self.SPEC.schema())
+            fit_edges(log, self.SPEC.schema(), k=5)
         with pytest.raises(ValueError, match="URPS"):
-            fit_table(log, edges)
+            fit_table(log, edges, 10.0, (0.5, 2.0), min_cell_count=50)
 
 
 class TestLookup:
@@ -379,7 +379,8 @@ class TestTableProperties:
         x = rng.uniform(0, 10, 4000)
         log = make_log(x, 1.0 + 0.7 * x, SCHEMA_1)
         edges = fit_edges(log, SCHEMA_1, k=5)
-        table = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=None)
+        table = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=None,
+                          min_cell_count=50)
         populated = table.counts > 0
         factors = table.factors[populated]
         assert np.all(np.diff(factors) >= 0)

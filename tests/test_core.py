@@ -21,7 +21,13 @@ from famdebias.core import (
     validate_log,
     write_jsonl,
 )
-from famdebias.simulator import InflationSpec, SessionConfig, SessionState, Universe
+from famdebias.simulator import (
+    InflationSpec,
+    SessionConfig,
+    SessionState,
+    Universe,
+    UniverseConfig,
+)
 
 SCHEMA = FeatureSchema(
     names=("watch_count", "days_since", "affinity"),
@@ -139,8 +145,9 @@ def impressions_state(slate_items, creators_of_items, n_users=1):
         item_vectors=np.zeros((items.size, 2)),
         item_creator=items,
         creator_recent=np.zeros(int(items.max()) + 1, dtype=bool),
-        seed=0,
-        params={},
+        config=UniverseConfig(
+            users=n_users, items=items.size, creators=int(items.max()) + 1, seed=0, latent_dim=2
+        ),
     )
     state = SessionState(universe, InflationSpec.default(), SessionConfig())
     slates = np.asarray(slate_items, dtype=np.int64).reshape(n_users, -1)

@@ -27,6 +27,7 @@ from famdebias.simulator import (
     InflationSpec,
     SessionConfig,
     Universe,
+    UniverseConfig,
     run_arm,
     run_paired_arms,
 )
@@ -287,7 +288,8 @@ class TestMeanOnePerCell:
         urps = rng.lognormal(0.3, 0.7, 20000) * (1.0 + 0.2 * feats)
         log = make_log(feats, urps)
         edges = fit_edges(log, SCHEMA_1, k=4)
-        table = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=None)
+        table = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=None,
+                          min_cell_count=50)
         debiased, _ = debias_log(log, table, DebiasConfig(floor=1e-12))
         cells = edges.assign_many(log.features)[:, 0]
         for cell in np.unique(cells):
@@ -315,7 +317,9 @@ small_universes = st.fixed_dictionaries({
 
 def small_run(users, items, creators, sessions, seed):
     """(universe, session config, control log) of a random small closed loop."""
-    uni = Universe.build(users=users, items=items, creators=creators, seed=seed % 997)
+    uni = Universe.build(
+        UniverseConfig(users=users, items=items, creators=creators, seed=seed % 997)
+    )
     cfg = SessionConfig(sessions=sessions, pool_size=20, slate_size=8, consume_top_k=4)
     return uni, cfg, run_arm(uni, ControlPolicy(), SIM_SPEC, cfg, seed).log
 
@@ -346,7 +350,7 @@ class TestPaperInvariants:
     def test_strength_zero_is_the_identity_in_both_modes(self, universe, floor_fraction):
         uni, cfg, log = small_run(**universe)
         schema = SIM_SPEC.schema()
-        table = fit_table(log, fit_edges(log, schema, k=3))
+        table = fit_table(log, fit_edges(log, schema, k=3), 10.0, (0.5, 2.0), min_cell_count=50)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             model = train_xy(log.features, log.urps, schema,
@@ -380,7 +384,7 @@ class TestResidualCorrelation:
         assert abs(rows[0].after) < bound
 
     def test_simulator_inflation_strongly_attenuated(self):
-        uni = Universe.build(users=300, items=3000, creators=80, seed=31)
+        uni = Universe.build(UniverseConfig(users=300, items=3000, creators=80, seed=31))
         spec = InflationSpec(
             features=(
                 FeatureSpec("item_watch_count", "count", 0.5),
@@ -418,6 +422,6 @@ class TestResidualCorrelation:
     def test_single_record_rejected(self):
         log = make_log([1.0], [1.0])
         edges = fit_edges(log, SCHEMA_1, k=2)
-        table = fit_table(log, edges, 1.0, None)
+        table = fit_table(log, edges, 1.0, None, min_cell_count=50)
         with pytest.raises(ValueError):
-            residual_correlation(log.subset(np.array([0])), table, DebiasConfig())
+            residual_correlation(log, table, DebiasConfig())

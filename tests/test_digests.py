@@ -13,6 +13,12 @@ instead of ``np.logaddexp(0, x)``. The two differ in the last bit or two,
 which moves the trained weights and everything ranked with them. The
 table, the discrete slate and the simulator's own digests did not move.
 
+The three ``report.json`` values (quick, ``aa``, ``quick_repro_arms``) were
+re-pinned again when ``session.candidate_sample_users`` was removed. Each new
+report equals the one from ecead03 with that key deleted from its config
+echo and re-serialized with the same ``json.dumps`` options; every other
+file of the bundles stayed byte-identical.
+
 ``LOG_DIGESTS`` pins the stage handoff: the arm logs and impression
 matrices that ``run_pipeline`` writes to ``logs/`` for ``quick.json``. They
 were measured at commit 3d80cee, before the column-wise JSONL encoder, and
@@ -51,16 +57,16 @@ def quick_with_repro_arms() -> dict:
 REPORT_DIGESTS = {
     "aa": (
         lambda: load_config("aa.json"),
-        "d39df0773eba6d2a11d72a24c0efdee75531b7b90bb54dfab4fa26fccd12ef3b",
+        "3d2a6763c41571960664eb48eedf99f221becd65f1169ed25d6578798a99770b",
     ),
     "quick_repro_arms": (
         quick_with_repro_arms,
-        "43ec8b7d5756b06155f8f20374b122c8734b514c72a7f1dc1868ec82a28e9d8c",
+        "3d40cafda90746d653a02297a9c0cbd25cb0ed7f120185ccb0846fc7ca045738",
     ),
 }
 
 QUICK_DIGESTS = {
-    "report.json": "c15ab971a4d5eb6a5a09e61f7f55324b3efc12c8ee5c068264809d6392d0b91a",
+    "report.json": "023816ec0bc781a08765db86fec2ce83b65f86cbe9aa0c1b20e035f84ebea073",
     "artifacts/model.json": "b20a8860083253864944142c9739dac46054f8b73d1b2320c8e4c6b44da65b40",
     "artifacts/table.json": "5606bcf1cd4b27b0139e02ff68a68453f6ab2b39f534b535dfd29ceb0000fa96",
 }

@@ -102,6 +102,13 @@ BAD_KEYS = {
     # a count declared as recency would inflate never-watched items
     "feature-kind-mismatch": (("inflation", "features", 0, "kind"), "recency",
                               "inflation.features[0].kind"),
+    # 45 draws per pool item at quick's shape: the per-user fallback stalls
+    "pool-skew-steep": (("session", "pool_skew"), 2.0, "session.pool_skew"),
+    # quick has 800 items
+    "pool-size-above-items": (("session", "pool_size"), 801, "session.pool_size"),
+    # the candidate log and its key were removed
+    "candidate-sample-users": (("session", "candidate_sample_users"), 0,
+                               "session.candidate_sample_users"),
 }
 
 MALFORMED_CONFIGS = (

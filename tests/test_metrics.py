@@ -25,6 +25,7 @@ from famdebias.simulator import (
     InflationSpec,
     SessionConfig,
     Universe,
+    UniverseConfig,
     run_arm,
     synthetic_training_log,
 )
@@ -114,7 +115,7 @@ class TestNovelShare:
         ]
         log = build_log(rows)
         perm = rng.permutation(len(log))
-        shuffled = log.subset(perm)
+        shuffled = build_log([rows[i] for i in perm])
         assert novel_share(shuffled, 14) == pytest.approx(novel_share(log, 14))
         mask = novelty_mask(log, 14)
         assert np.array_equal(novelty_mask(shuffled, 14), mask[perm])
@@ -227,7 +228,7 @@ def constant_prediction_model(value: float) -> RegressorModel:
 
 class TestCalibration:
     def test_noise_free_overparameterized_fit_hits_one(self):
-        uni = Universe.build(users=100, items=1000, creators=30, seed=61)
+        uni = Universe.build(UniverseConfig(users=100, items=1000, creators=30, seed=61))
         spec = InflationSpec(
             features=(
                 FeatureSpec("item_watch_count", "count", 0.5),
@@ -340,7 +341,7 @@ class TestExperimentReport:
             ),
             noise_sigma=0.2,
         )
-        uni = Universe.build(users=60, items=600, creators=40, seed=71)
+        uni = Universe.build(UniverseConfig(users=60, items=600, creators=40, seed=71))
         cfg = SessionConfig(sessions=8, pool_size=50, slate_size=10,
                             consume_top_k=5, pool_skew=0.8)
         a = run_arm(uni, ControlPolicy(), spec, cfg, seed=72, name="control")

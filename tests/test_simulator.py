@@ -31,6 +31,7 @@ from famdebias.simulator import (
     SessionState,
     SessionStreams,
     Universe,
+    UniverseConfig,
     _user_rng,
     order_rows_by_key,
     run_arm,
@@ -50,7 +51,7 @@ SPEC = InflationSpec(
 
 
 def small_universe(seed=0, users=40, items=400, creators=30):
-    return Universe.build(users=users, items=items, creators=creators, seed=seed)
+    return Universe.build(UniverseConfig(users=users, items=items, creators=creators, seed=seed))
 
 
 def quality(uni, user, item):
@@ -114,8 +115,9 @@ class TestTrueQuality:
 
 class TestInflation:
     def test_fresh_pair_gets_factor_one(self):
-        fresh = SPEC.fresh_vector()
-        assert SPEC.g_many(fresh[None])[0] == pytest.approx(1.0, abs=1e-15)
+        # a never-interacted pair: no watches, recency at its cap, no affinity
+        fresh = np.array([[0.0, SPEC.features[1].cap_days, 0.0]])
+        assert SPEC.g_many(fresh)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_count_contribution_by_hand(self):
         spec = InflationSpec(
@@ -402,16 +404,35 @@ class TestStepAndConservation:
     def test_pools_identical_sets_across_different_policies(self):
         uni = small_universe(seed=14)
         cfg = SessionConfig(
-            sessions=4, pool_size=20, slate_size=6, consume_top_k=3,
-            candidate_sample_users=uni.n_users,
+            sessions=4, pool_size=20, slate_size=6, consume_top_k=3, pool_skew=0.8
         )
-        a = run_arm(uni, ControlPolicy(), SPEC, cfg, seed=5)
-        b = run_arm(uni, LogPopPolicy(0.4), SPEC, cfg, seed=5)
-        # candidate logs record every scored pool; sets must match per step
-        # even though the two arms consume different items
-        assert np.array_equal(a.candidate_log.items, b.candidate_log.items)
-        assert np.array_equal(a.candidate_log.users, b.candidate_log.users)
-        assert not np.array_equal(a.log.items, b.log.items)
+
+        class Recording:
+            """Wraps a policy and keeps a copy of every pool batch it ranks."""
+
+            def __init__(self, inner):
+                self.inner, self.pools = inner, []
+
+            def rank_batch(self, pools, urps, features, item_impressions):
+                self.pools.append(pools.copy())
+                return self.inner.rank_batch(pools, urps, features, item_impressions)
+
+        policies = {
+            "control": Recording(ControlPolicy()),
+            "log_pop": Recording(LogPopPolicy(0.4)),
+            "item_centric": Recording(QuotaRerankPolicy("item", Quota(high=0.35), 6)),
+        }
+        results = arm_results(uni, policies, SPEC, cfg, seed=5)
+        control, *others = policies.values()
+        assert len(control.pools) == cfg.sessions
+        for policy in others:
+            for got, want in zip(policy.pools, control.pools, strict=True):
+                assert np.array_equal(got, want)
+        # the arms show different slates from the same pools
+        for name in ("log_pop", "item_centric"):
+            assert not np.array_equal(
+                results[name].item_impressions, results["control"].item_impressions
+            )
 
     def test_identical_policies_identical_streams(self):
         uni = small_universe(seed=9)
@@ -443,17 +464,6 @@ class TestStepAndConservation:
         r2 = run_arm(uni, ControlPolicy(), SPEC, cfg, seed=5)
         assert not np.array_equal(r1.log.urps, r2.log.urps)
 
-    def test_candidate_log_records_full_pools(self):
-        uni = small_universe(seed=12)
-        cfg = SessionConfig(
-            sessions=2, pool_size=15, slate_size=5, consume_top_k=2,
-            candidate_sample_users=3,
-        )
-        res = run_arm(uni, ControlPolicy(), SPEC, cfg, seed=6)
-        assert res.candidate_log is not None
-        assert len(res.candidate_log) == 3 * 15 * 2
-        assert np.all(res.candidate_log.watch_times == 0)
-
     def test_empty_policy_map_rejected(self):
         config_path = Path(__file__).resolve().parent.parent / "configs" / "quick.json"
         config = json.loads(config_path.read_text())
@@ -482,11 +492,9 @@ def log_digest(log):
 
 
 def assert_same_result(a, b):
-    for log_a, log_b in ((a.log, b.log), (a.candidate_log, b.candidate_log)):
-        assert (log_a is None) == (log_b is None)
-        for column in LOG_COLUMNS if log_a is not None else ():
-            x, y = getattr(log_a, column), getattr(log_b, column)
-            assert x.dtype == y.dtype and np.array_equal(x, y), column
+    for column in LOG_COLUMNS:
+        x, y = getattr(a.log, column), getattr(b.log, column)
+        assert x.dtype == y.dtype and np.array_equal(x, y), column
     assert np.array_equal(a.item_impressions, b.item_impressions)
     assert np.array_equal(a.user_creator_impressions, b.user_creator_impressions)
 
@@ -511,7 +519,6 @@ class TestPairedRunner:
         pool_size=st.integers(2, 25),
         slate_frac=st.floats(0.0, 1.0),
         consume_frac=st.floats(0.0, 1.0),
-        candidate_users=st.integers(0, 4),
         kinds=st.lists(
             st.sampled_from(["control", "log_pop", "static_boost", "item_centric"]),
             min_size=2, max_size=4,
@@ -519,8 +526,7 @@ class TestPairedRunner:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_each_paired_arm_equals_its_run_alone(
-        self, users, items, creators, sessions, pool_size, slate_frac, consume_frac,
-        candidate_users, kinds, seed,
+        self, users, items, creators, sessions, pool_size, slate_frac, consume_frac, kinds, seed,
     ):
         # the draws do not depend on the arm: stepping arms together against
         # one build of each session's draws changes no arm's result
@@ -528,9 +534,10 @@ class TestPairedRunner:
         cfg = SessionConfig(
             sessions=sessions, pool_size=pool_size, slate_size=slate_size,
             consume_top_k=round(consume_frac * slate_size), pool_skew=0.5,
-            candidate_sample_users=candidate_users,
         )
-        uni = Universe.build(users=users, items=items, creators=creators, seed=seed % 997)
+        uni = Universe.build(
+            UniverseConfig(users=users, items=items, creators=creators, seed=seed % 997)
+        )
         policies = {f"{kind}_{i}": policy_of(kind, slate_size) for i, kind in enumerate(kinds)}
         paired = run_paired_arms(uni, policies, SPEC, cfg, seed)
         assert [r.name for r in paired] == list(policies)
@@ -562,63 +569,49 @@ class TestPairedRunner:
     # draws once per arm (CPython 3.11.7, numpy 2.4.6, x86-64 Linux); the
     # paired runner must reproduce them exactly
     PINNED = {
-        (0, 3): {
+        0: {
             "control": (
                 "2b37b66ec918db56ad5be4c1da9cec36ed3d8333ba95d9d4bdd0e7ff4ed9eef0",
-                "84715a21d46341f3d9dc475942bb7fedc3b0ce1677b366eb85362f78fd0b5168",
                 "1947c810a6d9d6f37d578a173d6d77a346b0db09c1199737ac93a7fc72da4988",
             ),
             "log_pop": (
                 "2b37b66ec918db56ad5be4c1da9cec36ed3d8333ba95d9d4bdd0e7ff4ed9eef0",
-                "84715a21d46341f3d9dc475942bb7fedc3b0ce1677b366eb85362f78fd0b5168",
                 "89c2b56e748602979bfb6f4cb33891a1b607e2b2d4c859e5057c5418d8e2e3de",
             ),
         },
-        (2, 50): {
+        2: {
             "control": (
                 "2e91f895993ae805d16226504de4e438ae08471d826b74f95f4f0e5527866528",
-                "35c4f655ef056ada19f398a9e9ef4bd225dc954d5d3cbd77e40efb7c1719431a",
                 "6e108a495d0f9ce1fc5f7bd46505db9ffd93714910c105308e34629dd8efc6c9",
             ),
             "log_pop": (
                 "2e25d634733c726771a8f7eac822a1aab64f7ae90134705a4c357dc859b1421e",
-                "0f743c24c382701338f632c2731925992af193d5ddcebe3ee45ebc43b7a9e23e",
                 "be53eb4cfb6bb5c3ef98396575abfe70fc79bb572581009534241b0a259a3707",
             ),
         },
     }
 
-    @pytest.mark.parametrize("consume_top_k,candidate_users", sorted(PINNED))
-    def test_logs_unchanged_without_consumption_and_with_candidates(
-        self, consume_top_k, candidate_users
-    ):
+    @pytest.mark.parametrize("consume_top_k", sorted(PINNED))
+    def test_logs_unchanged_with_and_without_consumption(self, consume_top_k):
         uni = small_universe(seed=12)
-        cfg = SessionConfig(
-            sessions=3, pool_size=15, slate_size=5, consume_top_k=consume_top_k,
-            candidate_sample_users=candidate_users,
-        )
+        cfg = SessionConfig(sessions=3, pool_size=15, slate_size=5, consume_top_k=consume_top_k)
         results = run_paired_arms(
             uni, {"control": ControlPolicy(), "log_pop": LogPopPolicy(0.4)}, SPEC, cfg, seed=6
         )
-        m = min(candidate_users, uni.n_users)
-        arity = SPEC.schema().arity
+        rows = uni.n_users * consume_top_k * 3
         for result in results:
-            for log, rows in (
-                (result.log, uni.n_users * consume_top_k * 3),
-                (result.candidate_log, m * 15 * 3),
-            ):
-                assert len(log) == rows
-                assert log.features.shape == (rows, arity)
-                for column in ("users", "items", "creators"):
-                    assert getattr(log, column).dtype == np.int64
-                for column in ("timestamps", "watch_times", "urps", "features",
-                               "true_quality", "inflation"):
-                    assert getattr(log, column).dtype == np.float64
+            log = result.log
+            assert len(log) == rows
+            assert log.features.shape == (rows, SPEC.schema().arity)
+            for column in ("users", "items", "creators"):
+                assert getattr(log, column).dtype == np.int64
+            for column in ("timestamps", "watch_times", "urps", "features",
+                           "true_quality", "inflation"):
+                assert getattr(log, column).dtype == np.float64
             assert (
-                log_digest(result.log),
-                log_digest(result.candidate_log),
+                log_digest(log),
                 digest(result.item_impressions, result.user_creator_impressions),
-            ) == self.PINNED[(consume_top_k, candidate_users)][result.name]
+            ) == self.PINNED[consume_top_k][result.name]
 
 
 class TestDefaultSpecPin:
@@ -635,29 +628,30 @@ class TestDefaultSpecPin:
         "u50": dict(users=50, items=600, creators=40, seed=21),
     }
 
-    # measured at 6b7c7a1, before the dense creator state and the vectorized
-    # quota (CPython 3.11.7, numpy 2.4.6, x86-64 Linux)
+    # the consumed logs and impressions, measured at ecead03, where this run's
+    # pins from 6b7c7a1 still held; sampling candidates then left these
+    # digests unchanged (CPython 3.11.7, numpy 2.4.6, x86-64 Linux)
     PINNED = {
         "u12": {
-            "control": "9e12f604758c98aa48b6e8720c723382addb193bb9eca3ed7010d56d0f886ec2",
-            "log_pop": "fe13bb3077c231da5ca5c4fee9360fed9dafcf47fb50140df81cb5a45c31d2bc",
-            "static_boost": "a24b3c2c8cf982b8e0f46a5141d56c84c800e9269b4177f08462955683b42c7d",
-            "item_centric": "753c7f01249b6d2bd1ec7c3552e01bc5deeeac68d6e788640a80b5d7f1bb64ce",
-            "user_centric": "be0621fb7a16ba17f63f119cd9ffb0992dc11132a6848b628b5ee7d5b2589777",
+            "control": "415cbe506c1090e71e69c8781ac4277ee5754bbd71341acbadc45fbf1934c4c2",
+            "log_pop": "d323e298ac0aef601af42315989d38e4556b54d66aea9400a5f0a1865b035013",
+            "static_boost": "f6668e693e7ee97450b419fd1f5947c3d619fe8cf824e649eecaa4032201d982",
+            "item_centric": "ea473291e0f745d37d5d3175d97fd151f8c85cdddefd8c55ae1a29814503e7bc",
+            "user_centric": "1a9d0cb0bda7c00e6366339e529a0cb04f3a3acc5900ce8bd932e7231f010b34",
         },
         "u30": {
-            "control": "4fd0328a4b1e647b5fd8c163d62b0cf88f71a14b17853c3949fc3e0bac20f862",
-            "log_pop": "d1a57dc4302ddc6efd5dddbaf7ff5aaca90f3e9a2f21fa2f9e587c984cf57686",
-            "static_boost": "aaa05c548fc3919599a21d45c0d05e048d93de8d6a426c5b837d300812ce3097",
-            "item_centric": "0905d355a130d12760d6201ae50d63c2ed420eefed3b9a4997314fb885cb73b8",
-            "user_centric": "65fd089a11d642dd56517a7c3d43d2cb175976ff79150740b3c5b6b878890d1d",
+            "control": "76ec5f653cc410b38774b1f752ce3647c4df98ceaa0ff0316941ddbd6170b983",
+            "log_pop": "25f891811d42c12e48b7fccdcdab7dc13d9f4debec4a6939c5e2f58984d0225a",
+            "static_boost": "c12755b734cb3372f6a1ed8b8f80d50af8f4733f1f4a34c0814e578f3de5f11e",
+            "item_centric": "e200450bc1226e152f8f10a0929d59356b83e08030c0b6b3d11901f4ca22efc7",
+            "user_centric": "4ccb488926b61fc4d213d3846b71dab78257aa5cf3050568430e8006d880c3af",
         },
         "u50": {
-            "control": "e3de7225903c0408a35a7881f25674cc8b8eb9d49557c3c857613a084d18e42f",
-            "log_pop": "b49860be073aa2dfcebbd49b126d4986e77157e2ba1a6a39ece3e1123427ec9c",
-            "static_boost": "634bd37566e6380b7807bea64c0b9cec4bbd819d8e1939eba20925a9f8731fc7",
-            "item_centric": "bc24c676b4b2f3e240ff5d0da47be785c890744819d418e3e2577b21a5ea245a",
-            "user_centric": "3c38008744182d2bfee2d712141d23009e8efede1dd26e98d82a087317fd9ed9",
+            "control": "c1ed4c3f7f621ff810fabc0bf61a03a5c5532c2ab6774da833a828113a12e5fb",
+            "log_pop": "bc6da7d203e35894f13d64a26cf43a17bc2402fd702c60ab9b7a8a01a7836ed6",
+            "static_boost": "4b150cd47275ca4f09cce469ee265120172a41c31086908e6d0787fffc1ac3f9",
+            "item_centric": "3a9e7a3b6d9b5bbb4b4b62cae9d1257cb0ccbc044a992b48d8c8d43da4918126",
+            "user_centric": "4ce5c6330656ef5f64a333e2af509638700a6ff85821db503220598aacf707e0",
         },
     }
 
@@ -682,15 +676,15 @@ class TestDefaultSpecPin:
     @pytest.mark.parametrize("universe", sorted(UNIVERSES))
     def test_default_spec_runs_unchanged(self, universe):
         spec = InflationSpec.default()
-        uni = Universe.build(**self.UNIVERSES[universe])
+        uni = Universe.build(UniverseConfig(**self.UNIVERSES[universe]))
         cfg = SessionConfig(
             sessions=5, pool_size=24, slate_size=8, consume_top_k=4, pool_skew=0.6,
-            wt_familiarity_weight=0.5, candidate_sample_users=3,
+            wt_familiarity_weight=0.5,
         )
         results = run_paired_arms(uni, self.policies(spec, 8), spec, cfg, seed=17)
         got = {
             r.name: digest(
-                *(getattr(log, c) for log in (r.log, r.candidate_log) for c in LOG_COLUMNS),
+                *(getattr(r.log, c) for c in LOG_COLUMNS),
                 r.item_impressions,
                 r.user_creator_impressions,
             )
@@ -703,7 +697,7 @@ class TestAmplification:
     def test_familiar_share_rises_across_quartiles_under_control(self):
         # growth phase of the loop: history accrues, so familiar availability
         # and with it the consumed familiar share keep climbing
-        uni = Universe.build(users=400, items=4000, creators=120, seed=41)
+        uni = Universe.build(UniverseConfig(users=400, items=4000, creators=120, seed=41))
         cfg = SessionConfig(
             sessions=16, pool_size=100, slate_size=14, consume_top_k=7, pool_skew=0.8
         )
@@ -736,7 +730,7 @@ class TestExperimentReportSurface:
         from famdebias.debias import DebiasConfig
         from famdebias.policies import DebiasPolicy
 
-        uni = Universe.build(users=300, items=3000, creators=100, seed=55)
+        uni = Universe.build(UniverseConfig(users=300, items=3000, creators=100, seed=55))
         spec = InflationSpec(
             features=(
                 FeatureSpec("item_watch_count", "count", 0.5),

@@ -1,14 +1,19 @@
-"""The benchmark's tracer and workloads must run against the package.
+"""The benchmark and the README must match the package.
 
 ``perfbench/spans.py`` skips a missing (owner, attribute) with a warning, so a
 renamed function would silently move its time into the caller's self time.
 The smoke test runs each ``perfbench/workloads.py`` workload once, so a call
 the benchmark makes, or a per-arm report metric past its reference
-tolerance, fails here too. Neither test changes the benchmark's files.
+tolerance, fails here too. Neither test changes the benchmark's files. The
+README's configuration table must name every field of each section's
+dataclass, and no key that the dataclass lacks.
 """
 
+import dataclasses
 import importlib.util
+import re
 import sys
+import typing
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +23,10 @@ from famdebias import bucketizer, core, debias, estimator, harness, metrics, pol
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
+MODULES = {
+    "bucketizer": bucketizer, "core": core, "debias": debias, "estimator": estimator,
+    "harness": harness, "metrics": metrics, "policies": policies, "simulator": simulator,
+}
 
 
 def load_module(name, path):
@@ -33,10 +42,7 @@ workloads = load_module("perfbench_workloads", ROOT / "perfbench" / "workloads.p
 
 
 def test_every_traced_name_exists():
-    fd = SimpleNamespace(
-        bucketizer=bucketizer, core=core, debias=debias, estimator=estimator,
-        harness=harness, metrics=metrics, policies=policies, simulator=simulator,
-    )
+    fd = SimpleNamespace(**MODULES)
     table = load_module("perfbench_spans", SPANS).patch_table(fd)
     assert table
     # the tracer looks names up in the owner's own namespace, not inherited ones
@@ -56,3 +62,56 @@ def test_benchmark_workload_runs_clean(name, tmp_path):
     outcome = workload.after()
     assert outcome.errors == []
     assert outcome.failed_requests == 0
+
+
+def config_table_rows():
+    """(section, dataclass or None, backticked names past the first two cells) per row."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| Section | Dataclass | Required keys | Defaults and checks |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        section, kind, *rest = (cell.strip() for cell in line.strip("|").split(" | "))
+        named = [
+            getattr(MODULES[module], name)
+            for module, name in re.findall(r"`(\w+)\.(\w+)`", kind)
+            if module in MODULES
+        ]
+        cls = next((c for c in named if dataclasses.is_dataclass(c)), None)
+        rows.append((section.strip("`"), cls, re.findall(r"`([^`]+)`", " ".join(rest))))
+    return rows
+
+
+def nested_dataclasses(cls):
+    """``cls`` and every dataclass its field types hold, however deeply."""
+    found, todo = [], [cls]
+    while todo:
+        current = todo.pop()
+        if current in found:
+            continue
+        found.append(current)
+        types = list(typing.get_type_hints(current).values())
+        while types:
+            t = types.pop()
+            if dataclasses.is_dataclass(t):
+                todo.append(t)
+            types.extend(typing.get_args(t))
+    return found
+
+
+def test_readme_config_table_matches_the_dataclasses():
+    rows = config_table_rows()
+    assert sorted(section for section, _, _ in rows) == sorted(
+        f.name for f in dataclasses.fields(harness.ExperimentConfig)
+    )
+    problems = []
+    for section, cls, names in rows:
+        if cls is None:
+            continue
+        keys = {n for n in names if re.fullmatch(r"[a-z][a-z0-9_]*", n)}
+        own = {f.name for f in dataclasses.fields(cls)}
+        known = {f.name for c in nested_dataclasses(cls) for f in dataclasses.fields(c)}
+        problems += [f"{section}: field {name!r} not in the row" for name in sorted(own - keys)]
+        problems += [f"{section}: {name!r} is not a field" for name in sorted(keys - known)]
+    assert problems == []
