@@ -99,13 +99,17 @@ class Normalizer:
         std[std == 0] = 1.0
         return cls(log1p_mask=mask, mean=mean, std=std)
 
+    def check(self, features: np.ndarray) -> None:
+        """Reject anything but an (n, arity) batch, a single 1-D vector included."""
+        if features.ndim != 2 or features.shape[1] != self.mean.size:
+            raise ValueError(
+                f"features must be (n, arity) with arity {self.mean.size}, got {features.shape}"
+            )
+
     def apply(self, features: np.ndarray) -> np.ndarray:
         """Normalized copy of an (n, arity) feature batch."""
         x = np.array(features, dtype=np.float64, order="C")
-        if x.ndim != 2 or x.shape[1] != self.mean.size:
-            raise ValueError(
-                f"features must be (n, arity) with arity {self.mean.size}, got {x.shape}"
-            )
+        self.check(x)
         # in place on the one copy; the same operations as (log1p(x) - mean) / std
         for j, is_count in enumerate(self.log1p_mask.tolist()):
             if is_count:
@@ -250,13 +254,43 @@ def _forward_pass(
     return h[:, 0], pre, post
 
 
+# Inference runs over row blocks of this size, so its working set is a few
+# (block x width) arrays however many rows a batch has. The last block takes
+# the remainder (1,024-2,047 rows): a short tail, one row at worst, would take
+# a different BLAS kernel than the one-batch pass and change the last bits.
+_BLOCK_ROWS = 1024
+
+
+def _scaled_head(model: RegressorModel, x: np.ndarray, normalize: bool) -> np.ndarray:
+    """``output_scale`` times the head over the rows of ``x``, block by block.
+
+    ``normalize`` applies the model's normalizer to each block first; without
+    it ``x`` is already normalized. A batch under two blocks is one pass.
+    """
+    n = x.shape[0]
+    n_blocks = max(n // _BLOCK_ROWS, 1)
+    if n_blocks == 1:
+        out = _forward_pass(model, model.normalizer.apply(x) if normalize else x, keep=False)[0]
+    else:
+        out = np.empty(n)
+        for i in range(n_blocks):
+            start = i * _BLOCK_ROWS
+            stop = n if i == n_blocks - 1 else start + _BLOCK_ROWS
+            block = model.normalizer.apply(x[start:stop]) if normalize else x[start:stop]
+            out[start:stop] = _forward_pass(model, block, keep=False)[0]
+    out *= model.output_scale
+    return out
+
+
 def forward(model: RegressorModel, features: np.ndarray) -> np.ndarray:
     """Predicted conditional mean score per row of an (n, arity) batch.
 
-    Strictly positive and deterministic.
+    Strictly positive and deterministic. Memory beyond the output is bounded
+    by the block size, not by the batch.
     """
-    out = _forward_pass(model, model.normalizer.apply(features), keep=False)[0]
-    out *= model.output_scale
+    features = np.asarray(features)
+    model.normalizer.check(features)
+    out = _scaled_head(model, features, normalize=True)
     np.maximum(out, 1e-300, out=out)
     return out
 
@@ -366,8 +400,7 @@ def train_xy(
     step = 0
 
     def eval_loss(xs: np.ndarray, ys: np.ndarray) -> float:
-        out = _forward_pass(model, xs, keep=False)[0]
-        return float(np.mean((out * model.output_scale - ys) ** 2))
+        return float(np.mean((_scaled_head(model, xs, normalize=False) - ys) ** 2))
 
     # epoch-end train loss is tracked on a capped slice; the validation loss
     # driving early stopping is always exact

@@ -425,13 +425,14 @@ class SessionState:
 
     def record_impressions_batch(self, user_ids: np.ndarray, slate_items: np.ndarray) -> None:
         flat = slate_items.ravel()
+        # np.add.at stays for the item counts, where bincount over every item is slower
         np.add.at(self.item_impressions, flat, 1)
-        users_flat = np.repeat(user_ids, slate_items.shape[1])
-        np.add.at(
-            self.user_creator_impressions,
-            (users_flat, self.universe.item_creator[flat]),
-            1,
+        matrix = self.user_creator_impressions
+        cells = (
+            np.repeat(user_ids, slate_items.shape[1]) * matrix.shape[1]
+            + self.universe.item_creator[flat]
         )
+        matrix += np.bincount(cells, minlength=matrix.size).reshape(matrix.shape)
 
 
 class Policy(Protocol):

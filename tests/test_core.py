@@ -179,6 +179,30 @@ class TestPopularity:
         assert state.item_impressions.sum() == slate.size
         assert state.user_creator_impressions.sum() == slate.size
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_users=st.integers(1, 6),
+        slate_len=st.integers(0, 8),
+        # every creator owns an item, as the universe requires
+        creators_of_items=st.lists(st.integers(0, 4), min_size=1, max_size=6).map(
+            lambda c: [*range(max(c) + 1), *c]
+        ),
+    )
+    def test_user_creator_counts_equal_add_at(self, seed, n_users, slate_len, creators_of_items):
+        # few creators per slot, so (user, creator) cells repeat within a slate
+        rng = np.random.default_rng(seed)
+        creators = np.asarray(creators_of_items)
+        slates = rng.integers(0, creators.size, (n_users, slate_len))
+        state = impressions_state(slates, creators_of_items, n_users=n_users)
+        users = rng.permutation(n_users)[: rng.integers(1, n_users + 1)]
+        state.record_impressions_batch(users, slates[users])
+        want = np.zeros((n_users, creators.max() + 1), dtype=np.int32)
+        for ids in (np.arange(n_users), users):
+            np.add.at(want, (np.repeat(ids, slate_len), creators[slates[ids].ravel()]), 1)
+        assert state.user_creator_impressions.dtype == np.int32
+        assert np.array_equal(state.user_creator_impressions, want)
+
 
 finite_positive = st.floats(
     min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False

@@ -1,10 +1,11 @@
 """Regressor: normalization, forward/backward exactness, training, gradcheck."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,6 +16,7 @@ from famdebias.estimator import (
     RegressorModel,
     TrainConfig,
     _forward_pass,
+    _init_model,
     _sigmoid,
     _softplus,
     backward,
@@ -92,6 +94,17 @@ kernel_inputs = hnp.arrays(
 )
 
 
+# Row counts on both sides of forward's block edges (blocks of 1,024 rows, the
+# last one taking the remainder). Past one block, hidden widths are drawn from
+# multiples of 8: for widths such as (19, 26) OpenBLAS's bits depend on the
+# row count of the product, so no split into blocks keeps them, and no config
+# uses such widths.
+BLOCK_EDGE_ROWS = st.one_of(
+    st.sampled_from([1023, 1024, 1025, 1026, 2047, 2048, 2049, 3073]),
+    st.integers(1024, 3 * 1024 + 7),
+)
+
+
 class TestKernels:
     @settings(max_examples=300, deadline=None)
     @given(kernel_inputs)
@@ -130,11 +143,16 @@ class TestKernels:
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        rows=st.integers(1, 300),
-        hidden=st.lists(st.integers(1, 40), min_size=0, max_size=3),
+        shape=st.one_of(
+            st.tuples(st.integers(1, 300), st.lists(st.integers(1, 40), min_size=0, max_size=3)),
+            st.tuples(BLOCK_EDGE_ROWS, st.lists(st.sampled_from([8, 16, 24, 32, 40]), max_size=3)),
+        ),
         activation=st.sampled_from(["softplus", "tanh", "identity"]),
     )
-    def test_inference_pass_equals_training_pass(self, seed, rows, hidden, activation):
+    @example(seed=0, shape=(1025, []), activation="softplus")
+    def test_inference_pass_equals_training_pass(self, seed, shape, activation):
+        # forward runs in row blocks; the one-batch training pass is the reference
+        rows, hidden = shape
         rng = np.random.default_rng(seed)
         sizes = [3, *hidden, 1]
         model = RegressorModel(
@@ -231,6 +249,28 @@ class TestForward:
     def test_one_vector_is_not_a_batch(self):
         with pytest.raises(ValueError, match=r"\(n, arity\)"):
             forward(random_model(3, seed=9), np.array([0.5, -1.0, 2.0]))
+
+    def test_empty_batch_checks_arity(self):
+        model = random_model(3, seed=9)
+        assert forward(model, np.zeros((0, 3))).shape == (0,)
+        with pytest.raises(ValueError, match=r"\(n, arity\) with arity 3, got \(0, 2\)"):
+            forward(model, np.zeros((0, 2)))
+
+    def test_memory_bounded_by_the_block_not_the_batch(self):
+        # repro's shape: 3 features, hidden (32, 16); one pass over the whole
+        # batch would hold two (n, 32) float64 arrays, about 49 MiB here
+        rng = np.random.default_rng(0)
+        norm = Normalizer(log1p_mask=np.array([True, False, False]),
+                          mean=rng.normal(size=3), std=rng.uniform(0.5, 2.0, 3))
+        model = _init_model(3, norm, TrainConfig(hidden_sizes=(32, 16)), rng)
+        feats = rng.uniform(0, 50, (100_000, 3))
+        tracemalloc.start()
+        try:
+            out = forward(model, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 4 * 2**20
 
     def test_strictly_positive_on_fuzz(self):
         model = random_model(3, seed=10)
