@@ -9,7 +9,7 @@ global mean so every finite familiarity vector maps to a positive factor.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,11 +64,13 @@ class BucketEdges:
         """Effective bucket count per feature."""
         return tuple(c.size + 1 for c in self.cuts)
 
-    def assign_many(self, features: np.ndarray) -> np.ndarray:
-        """Bucket index per feature for each row of an (n, arity) batch; left-closed.
+    def cell_codes(self, features: np.ndarray) -> np.ndarray:
+        """Mixed-radix cell code per row of an (n, arity) batch; left-closed buckets.
 
-        Raises ValueError on a non-finite feature value, which would
-        otherwise land in the top (NaN, +inf) or bottom (-inf) bucket.
+        The code is the C-order ``np.ravel_multi_index`` of the per-feature
+        bucket indices. Raises ValueError on a non-finite feature value,
+        which would otherwise land in the top (NaN, +inf) or bottom (-inf)
+        bucket.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.schema.arity:
@@ -82,10 +84,11 @@ class BucketEdges:
             raise ValueError(
                 f"non-finite value of feature {self.schema.names[col]!r}, first in row {row}"
             )
-        out = np.empty(features.shape, dtype=np.int64)
+        codes = np.zeros(features.shape[0], dtype=np.int64)
         for j, c in enumerate(self.cuts):
-            out[:, j] = np.searchsorted(c, features[:, j], side="right")
-        return out
+            codes *= c.size + 1
+            codes += np.searchsorted(c, features[:, j], side="right")
+        return codes
 
     def to_dict(self) -> dict:
         return {
@@ -139,7 +142,7 @@ def fit_edges(log: InteractionLog, schema: FeatureSchema, k: int) -> BucketEdges
     )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AdjustmentTable:
     """Per-cell conditional-mean factors with smoothing, clipping and back-off.
 
@@ -147,6 +150,13 @@ class AdjustmentTable:
     encoding of the per-feature bucket indices); cells never seen in fitting
     carry count 0 and the prior-only factor. Marginal per-feature tables use
     the same smoothing and clipping and feed the back-off chain.
+
+    The table keeps read-only copies of its arrays, and at construction
+    resolves the back-off chain once per cell into ``served``, the factor
+    ``lookup_many`` returns for every row in that cell: the cell factor when
+    the cell holds at least ``min_cell_count`` fitted records; else the
+    geometric mean of the cell's per-feature marginal factors when every one
+    of those marginal buckets is populated; else the global mean.
     """
 
     edges: BucketEdges
@@ -155,10 +165,43 @@ class AdjustmentTable:
     clip_bounds: tuple[float, float] | None
     factors: np.ndarray
     counts: np.ndarray
-    marginal_factors: list[np.ndarray]
-    marginal_counts: list[np.ndarray]
+    marginal_factors: tuple[np.ndarray, ...]
+    marginal_counts: tuple[np.ndarray, ...]
     min_cell_count: int = 50
     schema_digest: str = ""
+    served: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        dims = self.edges.dims
+        size = int(np.prod(dims))
+        factors = _read_only(self.factors, np.float64)
+        counts = _read_only(self.counts, np.int64)
+        marginal_factors = tuple(_read_only(m, np.float64) for m in self.marginal_factors)
+        marginal_counts = tuple(_read_only(m, np.int64) for m in self.marginal_counts)
+        got = [a.shape for a in (factors, counts, *marginal_factors, *marginal_counts)]
+        want = [(size,)] * 2 + [(k,) for k in dims] * 2
+        if got != want:
+            raise ValueError(f"table arrays have shapes {got}, expected {want}")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "marginal_factors", marginal_factors)
+        object.__setattr__(self, "marginal_counts", marginal_counts)
+
+        # the back-off chain over the cells: the same element-wise formula a
+        # per-row chain runs, so a looked-up factor has the same bits
+        cell_idx = np.unravel_index(np.arange(size), dims)
+        n_feat = len(dims)
+        log_sum = np.zeros(size)
+        all_pop = np.ones(size, dtype=bool)
+        for j in range(n_feat):
+            mf = marginal_factors[j][cell_idx[j]]
+            pop = marginal_counts[j][cell_idx[j]] > 0
+            all_pop &= pop
+            log_sum += np.where(pop, np.log(np.maximum(mf, 1e-300)), 0.0)
+        backoff = np.where(all_pop, np.exp(log_sum / n_feat), self.global_mean)
+        served = np.where(counts >= self.min_cell_count, factors, backoff)
+        served.flags.writeable = False
+        object.__setattr__(self, "served", served)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -215,8 +258,8 @@ class AdjustmentTable:
             clip_bounds=clip,
             factors=factors,
             counts=counts,
-            marginal_factors=[np.asarray(x, dtype=np.float64) for x in d["marginal_factors"]],
-            marginal_counts=[np.asarray(x, dtype=np.int64) for x in d["marginal_counts"]],
+            marginal_factors=tuple(d["marginal_factors"]),
+            marginal_counts=tuple(d["marginal_counts"]),
             min_cell_count=int(d["min_cell_count"]),
             schema_digest=digest,
         )
@@ -227,6 +270,12 @@ class AdjustmentTable:
     @classmethod
     def load(cls, path: str | Path) -> "AdjustmentTable":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 def _prior_factor(gm: float, clip: tuple[float, float] | None) -> float:
@@ -284,9 +333,9 @@ def fit_table(
     check_table_settings(smoothing_prior_weight, clip_bounds)
     gm = float(np.mean(log.urps))
     m = float(smoothing_prior_weight)
-    cell_idx = edges.assign_many(log.features)
+    codes = edges.cell_codes(log.features)
     dims = edges.dims
-    codes = np.ravel_multi_index(cell_idx.T, dims)
+    cell_idx = np.unravel_index(codes, dims)
     size = int(np.prod(dims))
     sums = np.bincount(codes, weights=log.urps, minlength=size)
     counts = np.bincount(codes, minlength=size).astype(np.int64)
@@ -295,8 +344,8 @@ def fit_table(
     marginal_factors, marginal_counts = [], []
     for j in range(edges.schema.arity):
         k_eff = dims[j]
-        msums = np.bincount(cell_idx[:, j], weights=log.urps, minlength=k_eff)
-        mcounts = np.bincount(cell_idx[:, j], minlength=k_eff).astype(np.int64)
+        msums = np.bincount(cell_idx[j], weights=log.urps, minlength=k_eff)
+        mcounts = np.bincount(cell_idx[j], minlength=k_eff).astype(np.int64)
         marginal_factors.append(
             _smooth_and_clip(msums, mcounts.astype(np.float64), gm, m, clip_bounds)
         )
@@ -319,30 +368,7 @@ def fit_table(
 def lookup_many(table: AdjustmentTable, features: np.ndarray) -> np.ndarray:
     """Factor per row of an (n, arity) batch, with back-off; always positive and finite.
 
-    Back-off chain per row: the cell factor when the cell holds at least
-    the table's ``min_cell_count`` fitted records; else the geometric mean
-    of the per-feature marginal factors when every marginal bucket is
-    populated; else the global mean.
+    Each row gets the factor its cell serves (``AdjustmentTable.served``),
+    where the table resolved the cell -> marginal -> global back-off chain.
     """
-    cell_idx = table.edges.assign_many(features)
-    codes = np.ravel_multi_index(cell_idx.T, table.dims)
-    result = table.factors[codes]
-    trusted = table.counts[codes] >= table.min_cell_count
-
-    need = ~trusted
-    if np.any(need):
-        n_feat = table.edges.schema.arity
-        log_sum = np.zeros(int(need.sum()))
-        all_pop = np.ones(int(need.sum()), dtype=bool)
-        sub_idx = cell_idx[need]
-        for j in range(n_feat):
-            mf = table.marginal_factors[j][sub_idx[:, j]]
-            mc = table.marginal_counts[j][sub_idx[:, j]]
-            pop = mc > 0
-            all_pop &= pop
-            log_sum += np.where(pop, np.log(np.maximum(mf, 1e-300)), 0.0)
-        backoff = np.where(all_pop, np.exp(log_sum / n_feat), table.global_mean)
-        result = result.copy()
-        result[need] = backoff
-    return result
-
+    return table.served[table.edges.cell_codes(features)]

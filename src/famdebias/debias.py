@@ -64,10 +64,10 @@ def debias_scores(
     """Corrected scores s / max(adj, floor)**strength; strictly positive."""
     scores = np.asarray(scores, dtype=np.float64)
     factors = np.asarray(factors, dtype=np.float64)
-    # ~(x > 0) also catches NaN, for which every comparison is False
-    if np.any(~(scores > 0)):
+    # (x > 0).all() also rejects NaN, for which every comparison is False
+    if not (scores > 0).all():
         raise ValueError("scores must be positive")
-    if np.any(~(factors > 0)):
+    if not (factors > 0).all():
         raise ValueError("adjustment factors must be positive")
     eps = config.effective_floor(reference_mean)
     return scores / np.maximum(factors, eps) ** config.strength

@@ -88,6 +88,10 @@ class Normalizer:
     log1p_mask: np.ndarray
     mean: np.ndarray
     std: np.ndarray
+    count_columns: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.count_columns = tuple(np.flatnonzero(self.log1p_mask).tolist())
 
     @classmethod
     def fit(cls, features: np.ndarray, schema: FeatureSchema) -> "Normalizer":
@@ -108,12 +112,16 @@ class Normalizer:
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         """Normalized copy of an (n, arity) feature batch."""
+        features = np.asarray(features)
+        self.check(features)
+        return self._normalized(features)
+
+    def _normalized(self, features: np.ndarray) -> np.ndarray:
+        # a checked batch; in place on one copy, the same operations as
+        # (log1p(x) - mean) / std
         x = np.array(features, dtype=np.float64, order="C")
-        self.check(x)
-        # in place on the one copy; the same operations as (log1p(x) - mean) / std
-        for j, is_count in enumerate(self.log1p_mask.tolist()):
-            if is_count:
-                np.log1p(x[:, j], out=x[:, j])
+        for j in self.count_columns:
+            np.log1p(x[:, j], out=x[:, j])
         x -= self.mean
         x /= self.std
         return x
@@ -264,19 +272,21 @@ _BLOCK_ROWS = 1024
 def _scaled_head(model: RegressorModel, x: np.ndarray, normalize: bool) -> np.ndarray:
     """``output_scale`` times the head over the rows of ``x``, block by block.
 
-    ``normalize`` applies the model's normalizer to each block first; without
-    it ``x`` is already normalized. A batch under two blocks is one pass.
+    ``normalize`` applies the model's normalizer to each block first, with
+    the shape checked by the caller; without it ``x`` is already normalized.
+    A batch under two blocks is one pass.
     """
+    norm = model.normalizer._normalized if normalize else (lambda block: block)
     n = x.shape[0]
     n_blocks = max(n // _BLOCK_ROWS, 1)
     if n_blocks == 1:
-        out = _forward_pass(model, model.normalizer.apply(x) if normalize else x, keep=False)[0]
+        out = _forward_pass(model, norm(x), keep=False)[0]
     else:
         out = np.empty(n)
         for i in range(n_blocks):
             start = i * _BLOCK_ROWS
             stop = n if i == n_blocks - 1 else start + _BLOCK_ROWS
-            block = model.normalizer.apply(x[start:stop]) if normalize else x[start:stop]
+            block = norm(x[start:stop])
             out[start:stop] = _forward_pass(model, block, keep=False)[0]
     out *= model.output_scale
     return out

@@ -255,8 +255,7 @@ def _populated_cell_mean_deviation(
     exact = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=None, min_cell_count=0)
     config = DebiasConfig(floor=1e-12, strength=1.0)
     debiased, _ = debias_log(log, exact, config)
-    cell_idx = edges.assign_many(log.features)
-    codes = np.ravel_multi_index(cell_idx.T, edges.dims)
+    codes = edges.cell_codes(log.features)
     size = int(np.prod(edges.dims))
     sums = np.bincount(codes, weights=debiased, minlength=size)
     counts = np.bincount(codes, minlength=size)

@@ -88,8 +88,7 @@ class TestCriterion2DiscreteOracle:
         table = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=None,
                           min_cell_count=0)
 
-        cells = edges.assign_many(log.features)
-        codes = np.ravel_multi_index(cells.T, edges.dims)
+        codes = edges.cell_codes(log.features)
         size = int(np.prod(edges.dims))
         oracle_sum = np.bincount(codes, weights=log.true_quality * log.inflation,
                                  minlength=size)
@@ -216,7 +215,7 @@ class TestCriterion6OrderPreservation:
             position = np.empty(n, dtype=np.int64)
             position[order] = np.arange(n)
             debiased = debias_scores(scores, factors_of(feats), config, ref_mean)
-            cells = [tuple(c) for c in edges.assign_many(feats).tolist()]
+            cells = edges.cell_codes(feats)
             for a in range(n):
                 for b in range(n):
                     if a == b or cells[a] != cells[b]:

@@ -1,5 +1,7 @@
 """Quantile edges, adjustment-table fitting, and back-off lookup."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,8 @@ SCHEMA_2 = FeatureSchema(
 
 def cell_of(vector, edges):
     """Multi-index of the bucket cell holding one familiarity vector."""
-    return tuple(edges.assign_many(np.asarray([vector], dtype=np.float64))[0].tolist())
+    (code,) = edges.cell_codes(np.asarray([vector], dtype=np.float64))
+    return tuple(int(i) for i in np.unravel_index(code, edges.dims))
 
 
 def factor_of(table, vector):
@@ -135,18 +138,18 @@ class TestAssignCell:
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match=r"\(n, arity\) with arity 2"):
-            self.edges().assign_many(np.array([[1.0, 2.0, 3.0]]))
+            self.edges().cell_codes(np.array([[1.0, 2.0, 3.0]]))
 
     def test_one_vector_is_not_a_batch(self):
         # a single familiarity vector must come as a (1, arity) batch
         with pytest.raises(ValueError, match=r"\(n, arity\)"):
-            self.edges().assign_many(np.array([25.0, 3.0]))
+            self.edges().cell_codes(np.array([25.0, 3.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_rejected_with_name_and_first_row(self, bad):
         feats = np.array([[5.0, 0.0], [25.0, 3.0], [25.0, bad], [bad, 1.0]])
         with pytest.raises(ValueError, match=r"feature 'y'.*row 2"):
-            self.edges().assign_many(feats)
+            self.edges().cell_codes(feats)
 
     def test_nan_lookup_rejected_instead_of_top_bucket(self):
         log = make_log(
@@ -238,19 +241,27 @@ class TestFitTable:
         assert AdjustmentTable.from_dict(d).schema_digest == ""
 
 
-def _manual_table(marginal_factors, marginal_counts, gm=1.0):
-    """Two-feature table with empty cells, for exercising the back-off chain."""
+def _manual_table(marginal_factors, marginal_counts, gm=1.0, cells=()):
+    """Two-feature table for exercising the back-off chain.
+
+    Each of ``cells`` is (vector, factor, count) for the cell holding the
+    vector; every other cell is empty.
+    """
     schema = SCHEMA_2
     edges = BucketEdges(
         schema=schema, cuts=[np.array([1.0]), np.array([1.0])], nominal_k=2
     )
+    factors, counts = np.full(4, gm), np.zeros(4, dtype=np.int64)
+    for vector, factor, count in cells:
+        code = np.ravel_multi_index(cell_of(vector, edges), edges.dims)
+        factors[code], counts[code] = factor, count
     return AdjustmentTable(
         edges=edges,
         global_mean=gm,
         smoothing_prior_weight=0.0,
         clip_bounds=None,
-        factors=np.full(4, gm),
-        counts=np.zeros(4, dtype=np.int64),
+        factors=factors,
+        counts=counts,
         marginal_factors=[np.asarray(m, dtype=np.float64) for m in marginal_factors],
         marginal_counts=[np.asarray(c, dtype=np.int64) for c in marginal_counts],
         min_cell_count=10,
@@ -289,15 +300,15 @@ class TestFitRejectsBadLogs:
 
 class TestLookup:
     def test_trusted_cell_returns_cell_factor(self):
-        table = _manual_table([[1.0, 1.0], [1.0, 1.0]], [[1, 1], [1, 1]])
-        code = np.ravel_multi_index(cell_of([2.0, 2.0], table.edges), table.dims)
-        table.factors[code] = 3.5
-        table.counts[code] = 100
+        table = _manual_table(
+            [[1.0, 1.0], [1.0, 1.0]], [[1, 1], [1, 1]], cells=[([2.0, 2.0], 3.5, 100)]
+        )
         assert factor_of(table, [2.0, 2.0]) == 3.5
 
     def test_sparse_cell_backs_off_to_marginal_geometric_mean(self):
-        table = _manual_table([[9.0, 1.5], [9.0, 2.0]], [[5, 5], [5, 5]])
-        table.counts[np.ravel_multi_index(cell_of([2.0, 2.0], table.edges), table.dims)] = 2
+        table = _manual_table(
+            [[9.0, 1.5], [9.0, 2.0]], [[5, 5], [5, 5]], cells=[([2.0, 2.0], 1.0, 2)]
+        )
         assert factor_of(table, [2.0, 2.0]) == pytest.approx(
             np.sqrt(3.0)
         )
@@ -354,6 +365,110 @@ class TestLookup:
         assert np.all(out > 0) and np.all(np.isfinite(out))
 
 
+def lookup_oracle(table, features):
+    """The per-row back-off chain: each row's cell, then its marginals, then the global mean."""
+    features = np.asarray(features, dtype=np.float64)
+    cell_idx = np.empty(features.shape, dtype=np.int64)
+    for j, c in enumerate(table.edges.cuts):
+        cell_idx[:, j] = np.searchsorted(c, features[:, j], side="right")
+    codes = np.ravel_multi_index(cell_idx.T, table.dims)
+    result = table.factors[codes]
+    need = ~(table.counts[codes] >= table.min_cell_count)
+    if np.any(need):
+        n_feat = table.edges.schema.arity
+        log_sum = np.zeros(int(need.sum()))
+        all_pop = np.ones(int(need.sum()), dtype=bool)
+        sub_idx = cell_idx[need]
+        for j in range(n_feat):
+            mf = table.marginal_factors[j][sub_idx[:, j]]
+            mc = table.marginal_counts[j][sub_idx[:, j]]
+            pop = mc > 0
+            all_pop &= pop
+            log_sum += np.where(pop, np.log(np.maximum(mf, 1e-300)), 0.0)
+        backoff = np.where(all_pop, np.exp(log_sum / n_feat), table.global_mean)
+        result = result.copy()
+        result[need] = backoff
+    return result
+
+
+@st.composite
+def random_tables(draw):
+    """(table, features): a table of 1-4 features with 1-6 buckets each, and a query batch."""
+    arity = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 6), min_size=arity, max_size=arity))
+    min_cell_count = draw(st.sampled_from([0, 1, 3, 50]))
+    empty_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    n = draw(st.sampled_from([0, 1, 5, 200, 20_000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    schema = FeatureSchema(
+        names=tuple(f"f{j}" for j in range(arity)),
+        kinds=("count",) * arity,
+        monotonicity=("increasing-with-familiarity",) * arity,
+    )
+    cuts = [np.sort(rng.choice(np.arange(-20.0, 20.0), k - 1, replace=False)) for k in dims]
+    edges = BucketEdges(schema=schema, cuts=cuts, nominal_k=max(dims))
+    size = int(np.prod(dims))
+    # cell counts on both sides of min_cell_count
+    around = [0, max(min_cell_count - 1, 0), min_cell_count, min_cell_count + 1]
+    marginal_factors, marginal_counts = [], []
+    for k in dims:
+        # log-uniform down to 1e-300, with some at exactly 1e-300
+        mf = np.exp(rng.uniform(np.log(1e-300), np.log(1e3), k))
+        mf[rng.random(k) < 0.2] = 1e-300
+        marginal_factors.append(mf)
+        marginal_counts.append(np.where(rng.random(k) < empty_share, 0, rng.integers(1, 9, k)))
+    table = AdjustmentTable(
+        edges=edges,
+        global_mean=float(rng.lognormal()),
+        smoothing_prior_weight=0.0,
+        clip_bounds=None,
+        factors=rng.lognormal(size=size),
+        counts=rng.choice(around, size),
+        marginal_factors=marginal_factors,
+        marginal_counts=marginal_counts,
+        min_cell_count=min_cell_count,
+    )
+    # values on the cuts, between and beyond them
+    points = [np.concatenate([c, c - 0.5, c + 0.5, [-25.0, 25.0]]) for c in cuts]
+    features = np.column_stack([rng.choice(pts, n) for pts in points]).reshape(n, arity)
+    return table, features
+
+
+class TestPerCellBackoff:
+    @settings(max_examples=150, deadline=None)
+    @given(random_tables())
+    def test_lookup_equals_the_per_row_chain_bit_for_bit(self, table_and_features):
+        table, features = table_and_features
+        got = lookup_many(table, features)
+        want = lookup_oracle(table, features)
+        assert got.shape == want.shape == (features.shape[0],) and got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_arrays_are_read_only_and_fields_frozen(self):
+        table = _manual_table([[2.0, 2.0], [2.0, 2.0]], [[3, 0], [3, 0]])
+        arrays = [table.factors, table.counts, table.served]
+        for arr in arrays + list(table.marginal_factors) + list(table.marginal_counts):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.factors = np.ones(4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.min_cell_count = 0
+
+    def test_table_keeps_its_own_copies(self):
+        factors, counts = np.full(4, 1.0), np.full(4, 100, dtype=np.int64)
+        table = dataclasses.replace(
+            _manual_table([[2.0, 2.0]] * 2, [[5, 5]] * 2), factors=factors, counts=counts
+        )
+        factors[:] = 3.0
+        counts[:] = 0
+        assert factors.flags.writeable and factor_of(table, [2.0, 2.0]) == 1.0
+
+    def test_mismatched_array_shapes_rejected(self):
+        with pytest.raises(ValueError, match="shapes"):
+            _manual_table([[1.0, 1.0, 1.0], [1.0, 1.0]], [[1, 1, 1], [1, 1]])
+
+
 class TestTableProperties:
     def test_exact_mean_one_within_every_populated_cell(self):
         rng = np.random.default_rng(13)
@@ -368,8 +483,7 @@ class TestTableProperties:
         )
         factors = lookup_many(table, feats)
         debiased = urps / factors
-        cells = edges.assign_many(feats)
-        codes = np.ravel_multi_index(cells.T, edges.dims)
+        codes = edges.cell_codes(feats)
         for code in np.unique(codes):
             sel = codes == code
             assert abs(debiased[sel].mean() - 1.0) <= 1e-9

@@ -1,11 +1,12 @@
 """Score correction, slate ranking, and decorrelation."""
 
+import functools
 import json
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from famdebias.bucketizer import fit_edges, fit_table
@@ -30,6 +31,7 @@ from famdebias.simulator import (
     UniverseConfig,
     run_arm,
     run_paired_arms,
+    synthetic_training_log,
 )
 
 SCHEMA_1 = FeatureSchema(
@@ -271,7 +273,7 @@ class TestDebiasSlate:
         spec = [(k, s, float(b)) for k, (s, b) in enumerate(rows)]
         order, debiased = rank_one_slate(table, spec, DebiasConfig())
         position = {k: pos for pos, k in enumerate(order)}
-        cells = edges.assign_many(np.array([[b] for _, _, b in spec]))[:, 0]
+        cells = edges.cell_codes(np.array([[b] for _, _, b in spec]))
         for a, sa, _ in spec:
             for b, sb, _ in spec:
                 if a == b or cells[a] != cells[b]:
@@ -291,7 +293,7 @@ class TestMeanOnePerCell:
         table = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=None,
                           min_cell_count=50)
         debiased, _ = debias_log(log, table, DebiasConfig(floor=1e-12))
-        cells = edges.assign_many(log.features)[:, 0]
+        cells = edges.cell_codes(log.features)
         for cell in np.unique(cells):
             sel = cells == cell
             assert abs(debiased[sel].mean() - 1.0) <= 1e-9
@@ -333,7 +335,7 @@ class TestPaperInvariants:
         exact = fit_table(log, edges, smoothing_prior_weight=0.0, clip_bounds=None,
                           min_cell_count=0)
         debiased, _ = debias_log(log, exact, DebiasConfig(floor=1e-12))
-        codes = np.ravel_multi_index(edges.assign_many(log.features).T, edges.dims)
+        codes = edges.cell_codes(log.features)
         sums = np.bincount(codes, weights=debiased)
         counts = np.bincount(codes)
         populated = counts > 0
@@ -367,6 +369,47 @@ class TestPaperInvariants:
             for column in ("users", "items", "timestamps", "watch_times", "urps", "features"):
                 assert np.array_equal(getattr(result.log, column), getattr(control.log, column))
             assert np.array_equal(result.item_impressions, control.item_impressions)
+
+
+@functools.cache
+def default_spec_table():
+    """(table, log): a table fitted like the configs' on a synthetic three-feature log."""
+    spec = InflationSpec.default()
+    uni = Universe.build(UniverseConfig(users=20, items=200, creators=10, seed=3))
+    log = synthetic_training_log(uni, spec, n=4000, seed=4)
+    edges = fit_edges(log, spec.schema(), k=5)
+    return fit_table(log, edges, 10.0, (0.5, 2.0), min_cell_count=50), log
+
+
+class TestRowCountIndependence:
+    # a discrete request's order does not depend on how many rows or requests
+    # share its call; the continuous mode's forward pass does not promise this
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(1, 300),
+        requests=st.integers(2, 5),
+        tied=st.booleans(),
+        strength=st.sampled_from([1.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(size=1, requests=3, tied=False, strength=1.0, seed=0)
+    @example(size=5, requests=4, tied=True, strength=1.0, seed=1)
+    @example(size=299, requests=2, tied=False, strength=0.5, seed=2)
+    def test_discrete_request_ranks_alone_as_in_a_batch(
+        self, size, requests, tied, strength, seed
+    ):
+        table, log = default_spec_table()
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, len(log), (requests, size))
+        # drawn from 40 distinct scores, most requests hold ties
+        urps = rng.choice(log.urps[:40], rows.shape) if tied else log.urps[rows]
+        features = log.features[rows]
+        pools = np.tile(np.arange(size), (requests, 1))
+        policy = DebiasPolicy(table, DebiasConfig(strength=strength))
+        batched = policy.rank_batch(pools, urps, features, None)
+        for i in range(requests):
+            alone = policy.rank_batch(pools[i : i + 1], urps[i : i + 1], features[i : i + 1], None)
+            assert np.array_equal(alone[0], batched[i])
 
 
 class TestResidualCorrelation:

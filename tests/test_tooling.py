@@ -6,12 +6,15 @@ The smoke test runs each ``perfbench/workloads.py`` workload once, so a call
 the benchmark makes, or a per-arm report metric past its reference
 tolerance, fails here too. Neither test changes the benchmark's files. The
 README's configuration table must name every field of each section's
-dataclass, and no key that the dataclass lacks.
+dataclass, and no key that the dataclass lacks. Each recorded ``BENCH_*.json``
+must hold every end-to-end metric of ``BENCHMARK.json`` for both sides.
 """
 
 import dataclasses
 import importlib.util
+import json
 import re
+import statistics
 import sys
 import typing
 from pathlib import Path
@@ -115,3 +118,26 @@ def test_readme_config_table_matches_the_dataclasses():
         problems += [f"{section}: field {name!r} not in the row" for name in sorted(own - keys)]
         problems += [f"{section}: {name!r} is not a field" for name in sorted(keys - known)]
     assert problems == []
+
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_record_is_well_formed(path):
+    record = json.loads(path.read_text())
+    for key in ("command", "host", "protocol", "parent", "change"):
+        assert key in record, f"{path.name} does not name {key!r}"
+    for workload in BENCHMARK["workloads"]:
+        for side in ("parent", "change"):
+            metrics = record[workload["name"]][side]["metrics"]
+            runs = set()
+            for metric in BENCHMARK["end_to_end"]:
+                where = f"{path.name}: {workload['name']}.{side}.{metric['name']}"
+                assert metric["name"] in metrics, f"{where} is missing"
+                values = metrics[metric["name"]]["values"]
+                runs.add(len(values))
+                assert values and metrics[metric["name"]]["median"] == pytest.approx(
+                    statistics.median(values), rel=1e-12
+                ), where
+            assert len(runs) == 1, f"{path.name}: {workload['name']}.{side} run counts {runs}"
