@@ -2,7 +2,8 @@
 
 Subcommands mirror the pipeline stages (simulate, fit, debias, evaluate,
 report, run) plus a gradient self-check. Exit codes: 0 success, 2 invalid
-input or configuration, 3 stage failure.
+input or configuration, 3 stage failure, a failed arm worker process
+included.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .harness import (
     run_pipeline,
     write_arm_outputs,
 )
-from .simulator import run_paired_arms
+from .simulator import ArmWorkerError, run_paired_arms
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -313,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except StageError as exc:
+    except (StageError, ArmWorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE
 

@@ -9,15 +9,21 @@ candidate pools, the score noise and the watch-time draws, so comparisons
 are paired (common random numbers). The draws depend only on (seed,
 session), so ``run_paired_arms`` builds each session's draws once and
 steps every arm against them; each arm keeps its own state and log, and its
-result equals a run of that policy alone. Users advance independently
-within a session; the implementation batches them for speed without
-changing any per-user result.
+result equals a run of that policy alone, so worker processes can step
+disjoint sets of arms without changing any output. Users advance
+independently within a session; the implementation batches them for speed
+without changing any per-user result.
 """
 
 from __future__ import annotations
 
+import os
+import selectors
+import signal
+import traceback
 from dataclasses import asdict, dataclass
-from typing import Protocol
+from time import perf_counter
+from typing import Callable, NoReturn, Protocol
 
 import numpy as np
 
@@ -633,6 +639,10 @@ class ArmResult:
 class _LogColumns:
     """Log columns preallocated for a whole run, one block of rows per session."""
 
+    COLUMNS = (
+        "users", "items", "timestamps", "watch_times", "urps", "features", "quality", "inflation"
+    )
+
     def __init__(self, rows_per_session: int, sessions: int, arity: int):
         n = rows_per_session * sessions
         self.block = rows_per_session
@@ -736,6 +746,13 @@ def run_paired_arms(
     Each session's draws are built once and every arm steps against them in
     policy order. Arms share nothing else, so each result equals a run of
     that policy alone; one result per policy, in policy order.
+
+    With at least two arms and sessions, ``os.fork`` and at least two usable
+    CPUs, the arms step session 0 here, timed, and are then split by those
+    times into one share per worker process (``_split_by_cost``); each
+    worker steps its share through the remaining sessions against its own
+    builds of the draws (``_step_in_workers``). The results do not depend
+    on the number of workers.
     """
     if not policies:
         return []
@@ -747,10 +764,35 @@ def run_paired_arms(
         for _ in names
     ]
     prior = PoolPrior.build(universe.n_items, cfg.pool_skew) if cfg.pool_skew > 0 else None
-    for session in range(cfg.sessions):
+
+    def step(session: int, arms: list[int]) -> list[float]:
+        """Step the arms at ``arms`` through one session; seconds per arm."""
         draws = SessionDraws.build(universe, inflation, cfg, session, seed, prior)
-        for name, state, log in zip(names, states, logs):
-            step_session(universe, state, policies[name], inflation, cfg, draws, log)
+        seconds = []
+        for i in arms:
+            start = perf_counter()
+            step_session(universe, states[i], policies[names[i]], inflation, cfg, draws, logs[i])
+            seconds.append(perf_counter() - start)
+        return seconds
+
+    every = list(range(len(names)))
+    workers = _worker_count(len(names)) if cfg.sessions > 1 else 1
+    if workers < 2:
+        for session in range(cfg.sessions):
+            step(session, every)
+    else:
+        shares = _split_by_cost(step(0, every), workers)
+
+        def run_share(share: list[int]) -> None:
+            for session in range(1, cfg.sessions):
+                step(session, share)
+
+        _step_in_workers(
+            shares,
+            names,
+            run_share,
+            lambda share: [b for i in share for b in _arm_buffers(logs[i], states[i])],
+        )
     return [
         ArmResult(
             name=name,
@@ -760,6 +802,182 @@ def run_paired_arms(
         )
         for name, state, log in zip(names, states, logs)
     ]
+
+
+# worker count set only by tests, so that the forked path runs on any host;
+# None takes one worker per usable CPU
+_FORCED_WORKERS: int | None = None
+
+
+class ArmWorkerError(RuntimeError):
+    """A worker process stepping some arms of a paired run failed."""
+
+    def __init__(self, arms: list[str], cause: str):
+        super().__init__(f"worker process stepping arms {arms} failed: {cause}")
+        self.arms = arms
+        self.cause = cause
+
+
+def _worker_count(n_arms: int) -> int:
+    """Worker processes for ``n_arms`` arms: one per usable CPU, at most one per arm."""
+    if _FORCED_WORKERS is not None:
+        cpus = _FORCED_WORKERS
+    elif hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = 1
+    return min(n_arms, cpus)
+
+
+def _split_by_cost(seconds: list[float], shares: int) -> list[list[int]]:
+    """Arm indices in ``shares`` lists of similar total cost, each in arm order.
+
+    Longest first, each arm to the share with the least cost so far (the
+    one with fewer arms on a tie), so with at least ``shares`` arms no
+    share is empty.
+    """
+    load = [0.0] * shares
+    out: list[list[int]] = [[] for _ in range(shares)]
+    for i in sorted(range(len(seconds)), key=lambda i: -seconds[i]):
+        j = min(range(shares), key=lambda j: (load[j], len(out[j])))
+        out[j].append(i)
+        load[j] += seconds[i]
+    return [sorted(share) for share in out]
+
+
+def _arm_buffers(log: _LogColumns, state: SessionState) -> list[memoryview]:
+    """Byte views of what a worker sends back for one arm.
+
+    The log rows of sessions 1 onwards (session 0 was stepped before the
+    fork) and both impression counts; empty arrays are left out. Stepping
+    fills these arrays in place and never replaces them, so views taken
+    before the fork address the worker's copy in the worker.
+    """
+    arrays = [getattr(log, c)[log.block :] for c in _LogColumns.COLUMNS]
+    arrays += [state.item_impressions, state.user_creator_impressions]
+    return [memoryview(a).cast("B") for a in arrays if a.size]
+
+
+_SENT, _RAISED = b"\x00", b"\x01"  # a worker's first byte: buffers follow, or an error message
+
+
+def _work(
+    fd: int, inherited: list[int], run: Callable[[], None], buffers: list[memoryview]
+) -> NoReturn:
+    """Body of a forked worker; never returns and runs no exit handler.
+
+    Steps its share, then writes ``_SENT`` and every buffer, or ``_RAISED``
+    and the exception's type and message after printing its traceback. An
+    interrupt or exit ends it with status 1 and nothing more written.
+    """
+    status = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        try:
+            run()
+        except Exception as exc:
+            os.write(2, traceback.format_exc().encode())
+            _send(fd, [memoryview(_RAISED + f"{type(exc).__name__}: {exc}".encode())])
+        else:
+            _send(fd, [memoryview(_SENT), *buffers])
+            status = 0
+    finally:
+        os._exit(status)
+
+
+def _send(fd: int, views: list[memoryview]) -> None:
+    for view in views:
+        while view:
+            view = view[os.write(fd, view) :]
+
+
+@dataclass(eq=False)
+class _Worker:
+    """The parent's side of one worker: its pipe and the buffers still to fill."""
+
+    pid: int
+    fd: int
+    arms: list[str]
+    pending: list[memoryview]
+    head: bytes = b""
+    message: bytes = b""
+    reaped: bool = False
+
+    def read(self) -> bool:
+        """Take what the pipe holds; False at its end."""
+        if not self.head:
+            self.head = os.read(self.fd, 1)
+            return bool(self.head)
+        if self.head == _SENT and self.pending:
+            got = n = os.readv(self.fd, self.pending[:64])
+            while n:
+                view = self.pending[0]
+                if n < len(view):
+                    self.pending[0] = view[n:]
+                    break
+                n -= len(view)
+                self.pending.pop(0)
+            return got > 0
+        data = os.read(self.fd, 1 << 16)
+        self.message += data
+        return bool(data)
+
+    def outcome(self) -> str | None:
+        """Reap the worker once its pipe has ended; None if it sent everything."""
+        _, status = os.waitpid(self.pid, 0)
+        self.reaped = True
+        code = os.waitstatus_to_exitcode(status)
+        if self.head == _RAISED:
+            return self.message.decode(errors="replace")
+        if self.head == _SENT and not self.pending and code == 0:
+            return None
+        ended = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        return f"it ended ({ended}) before sending all of its output"
+
+
+def _step_in_workers(
+    shares: list[list[int]],
+    names: list[str],
+    run_share: Callable[[list[int]], None],
+    buffers: Callable[[list[int]], list[memoryview]],
+) -> None:
+    """Run ``run_share(share)`` in one forked worker per share and take back ``buffers(share)``.
+
+    The views are taken before the fork, so in the worker they address its
+    copy of the arrays. Each worker writes their bytes to a pipe, and the
+    parent reads every pipe as data arrives, straight into its own arrays.
+    If a worker fails, the others are killed and ``ArmWorkerError`` names
+    the failed worker's arms and exception. No worker outlives this call.
+    """
+    workers: list[_Worker] = []
+    try:
+        for share in shares:
+            views = buffers(share)
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(w, [r] + [other.fd for other in workers], lambda: run_share(share), views)
+            os.close(w)
+            workers.append(_Worker(pid, r, [names[i] for i in share], views))
+        with selectors.DefaultSelector() as selector:
+            for worker in workers:
+                selector.register(worker.fd, selectors.EVENT_READ, worker)
+            while selector.get_map():
+                for key, _ in selector.select():
+                    worker = key.data
+                    if worker.read():
+                        continue
+                    selector.unregister(worker.fd)
+                    cause = worker.outcome()
+                    if cause is not None:
+                        raise ArmWorkerError(worker.arms, cause)
+    finally:
+        for worker in workers:
+            os.close(worker.fd)
+            if not worker.reaped:  # an unreaped worker keeps its pid, so the kill is safe
+                os.kill(worker.pid, signal.SIGKILL)
+                os.waitpid(worker.pid, 0)
 
 
 def run_arm(

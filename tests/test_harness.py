@@ -1,12 +1,13 @@
 """Pipeline wiring, configuration validation, CLI surface, stage isolation."""
 
 import json
+import os
 import re
 from pathlib import Path
 
 import pytest
 
-from famdebias import harness
+from famdebias import harness, simulator
 from famdebias.cli import main
 from famdebias.harness import (
     ConfigError,
@@ -15,7 +16,7 @@ from famdebias.harness import (
     emit_report,
     run_pipeline,
 )
-from famdebias.policies import build_policy
+from famdebias.policies import LogPopPolicy, build_policy
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -378,6 +379,38 @@ class TestCli:
         out = capsys.readouterr().out
         assert "report written" in out
         assert "[PASS]" in out or "[FAIL]" in out
+
+    def test_failed_arm_worker_exits_3(self, quick_config, quick_run, tmp_path, monkeypatch,
+                                       capsys):
+        _, outdir = quick_run
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(quick_config))
+        calls = []
+        original = LogPopPolicy.rank_batch
+
+        def failing(self, *args):
+            calls.append(None)
+            if len(calls) == 3:  # session 2: session 0 ran before the fork
+                raise FloatingPointError("log_pop failed in session 2")
+            return original(self, *args)
+
+        monkeypatch.setattr(LogPopPolicy, "rank_batch", failing)
+        monkeypatch.setattr(simulator, "_FORCED_WORKERS", 2)
+        cause = "FloatingPointError: log_pop failed in session 2"
+        assert main([
+            "simulate", "--config", str(cfg_path), "--out", str(tmp_path / "logs"),
+            "--arms", "debias_discrete,debias_continuous,log_pop",
+            "--table", str(outdir / "artifacts" / "table.json"),
+            "--model", str(outdir / "artifacts" / "model.json"),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "'log_pop'" in err and cause in err
+        calls.clear()
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "stage 'simulate-arms' failed" in err and cause in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"),

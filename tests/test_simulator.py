@@ -2,17 +2,26 @@
 
 import hashlib
 import json
+import os
+import signal
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from famdebias import simulator
 from famdebias.bucketizer import BucketEdges
 from famdebias.core import load
-from famdebias.harness import ExperimentConfig, run_pipeline
+from famdebias.harness import (
+    ExperimentConfig,
+    build_universe,
+    fit_artifacts,
+    run_pipeline,
+)
 from famdebias.metrics import experiment_report, familiar_share_by_time_quartile
 from famdebias.policies import (
     BoostRule,
@@ -20,9 +29,11 @@ from famdebias.policies import (
     Quota,
     QuotaRerankPolicy,
     StaticBoostPolicy,
+    build_policy,
 )
 from famdebias.simulator import (
     DAY,
+    ArmWorkerError,
     ControlPolicy,
     FeatureSpec,
     InflationSpec,
@@ -71,6 +82,17 @@ def consume(state, user, items, timestamps):
         np.asarray(items, dtype=np.int64).reshape(1, -1),
         np.asarray(timestamps, dtype=np.float64).reshape(1, -1),
     )
+
+
+@contextmanager
+def workers(n):
+    """Step paired arms in ``n`` worker processes whatever the host's CPU count."""
+    saved = simulator._FORCED_WORKERS
+    simulator._FORCED_WORKERS = n
+    try:
+        yield
+    finally:
+        simulator._FORCED_WORKERS = saved
 
 
 def arm_results(uni, policies, spec, cfg, seed):
@@ -422,7 +444,8 @@ class TestStepAndConservation:
             "log_pop": Recording(LogPopPolicy(0.4)),
             "item_centric": Recording(QuotaRerankPolicy("item", Quota(high=0.35), 6)),
         }
-        results = arm_results(uni, policies, SPEC, cfg, seed=5)
+        with workers(1):  # the recordings live in the process that ranks
+            results = arm_results(uni, policies, SPEC, cfg, seed=5)
         control, *others = policies.values()
         assert len(control.pools) == cfg.sessions
         for policy in others:
@@ -560,10 +583,154 @@ class TestPairedRunner:
             original(self, seed, session, *args, **kwargs)
 
         monkeypatch.setattr(SessionStreams, "__init__", counting)
-        run_pipeline(config, tmp_path)
+        with workers(1):  # ``built`` lives in the process that builds
+            run_pipeline(config, tmp_path)
         sessions = config["session"]["sessions"]
         assert len(config["arms"]) > 2
         assert sorted(built) == sorted(list(range(sessions)) * 2)
+
+    def test_each_worker_builds_the_sessions_after_the_first(self, monkeypatch, tmp_path):
+        # session 0 is stepped before the fork; each worker then builds its
+        # own draws for every later session
+        record = tmp_path / "built"
+        original = SessionStreams.__init__
+
+        def counting(self, seed, session, *args, **kwargs):
+            with open(record, "a") as fh:
+                fh.write(f"{session}\n")
+            original(self, seed, session, *args, **kwargs)
+
+        monkeypatch.setattr(SessionStreams, "__init__", counting)
+        cfg = SessionConfig(sessions=4, pool_size=15, slate_size=5, consume_top_k=2)
+        policies = {f"{kind}_{i}": policy_of(kind, 5) for i, kind in enumerate(
+            ["control", "log_pop", "item_centric"]
+        )}
+        with workers(2):
+            run_paired_arms(small_universe(seed=3), policies, SPEC, cfg, seed=1)
+        built = sorted(int(line) for line in record.read_text().split())
+        assert built == sorted([0] + [1, 2, 3] * 2)
+
+    KINDS = ["control", "log_pop", "static_boost", "item_centric",
+             "debias_discrete", "debias_continuous"]
+
+    @pytest.fixture(scope="class")
+    def quick_artifacts(self):
+        """The quick config's table and model, fitted on its control log."""
+        config = json.loads(
+            (Path(__file__).resolve().parent.parent / "configs" / "quick.json").read_text()
+        )
+        cfg = ExperimentConfig.from_dict(config)
+        control = run_arm(
+            build_universe(cfg), ControlPolicy(), cfg.inflation, cfg.session,
+            cfg.experiment_seed,
+        )
+        assert cfg.schema == SPEC.schema()
+        _, table, model = fit_artifacts(control.log, cfg)
+        return cfg, table, model
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_workers=st.integers(1, 4),
+        users=st.integers(1, 10),
+        sessions=st.integers(1, 3),
+        pool_size=st.integers(2, 25),
+        consume_frac=st.floats(0.0, 1.0),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=2, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_workers=2, users=5, sessions=1, pool_size=10, consume_frac=0.5,
+             kinds=["control", "log_pop", "item_centric"], seed=3)
+    @example(n_workers=3, users=6, sessions=3, pool_size=10, consume_frac=0.0,
+             kinds=["control", "log_pop", "static_boost"], seed=4)
+    @example(n_workers=4, users=7, sessions=3, pool_size=12, consume_frac=0.5,
+             kinds=["control", "log_pop"], seed=5)
+    @example(n_workers=2, users=10, sessions=3, pool_size=25, consume_frac=0.4,
+             kinds=["control", "debias_discrete", "debias_continuous"], seed=6)
+    def test_any_worker_count_gives_the_serial_bits(
+        self, quick_artifacts, n_workers, users, sessions, pool_size, consume_frac, kinds, seed,
+    ):
+        cfg_quick, table, model = quick_artifacts
+        slate_size = max(1, pool_size // 2)
+        cfg = SessionConfig(
+            sessions=sessions, pool_size=pool_size, slate_size=slate_size,
+            consume_top_k=round(consume_frac * slate_size), pool_skew=0.5,
+        )
+        uni = Universe.build(UniverseConfig(users=users, items=120, creators=8, seed=seed % 997))
+
+        def policies():
+            out = {}
+            for i, kind in enumerate(kinds):
+                if kind.startswith("debias_"):
+                    out[f"{kind}_{i}"] = build_policy(
+                        "debias", {"mode": kind.removeprefix("debias_")}, cfg_quick.schema,
+                        slate_size, table=table, model=model, debias_config=cfg_quick.debias,
+                    )
+                else:
+                    out[f"{kind}_{i}"] = policy_of(kind, slate_size)
+            return out
+
+        with workers(1):
+            serial = run_paired_arms(uni, policies(), SPEC, cfg, seed)
+        with workers(n_workers):
+            forked = run_paired_arms(uni, policies(), SPEC, cfg, seed)
+        assert [r.name for r in forked] == [r.name for r in serial]
+        for a, b in zip(forked, serial):
+            assert_same_result(a, b)
+            for x, y in ((a.log.features, b.log.features), (a.log.urps, b.log.urps)):
+                assert x.tobytes() == y.tobytes()
+
+    def test_failed_worker_names_its_arms_and_leaves_no_child(self, monkeypatch, capfd):
+        calls = []
+        original = LogPopPolicy.rank_batch
+
+        def failing(self, *args):
+            calls.append(None)
+            if len(calls) == 3:  # session 2: session 0 ran before the fork
+                raise FloatingPointError("log_pop failed in session 2")
+            return original(self, *args)
+
+        monkeypatch.setattr(LogPopPolicy, "rank_batch", failing)
+        cfg = SessionConfig(sessions=5, pool_size=15, slate_size=5, consume_top_k=2)
+        policies = {"control": ControlPolicy(), "log_pop": LogPopPolicy(0.4),
+                    "item_centric": policy_of("item_centric", 5)}
+        with workers(2), pytest.raises(ArmWorkerError) as info:
+            run_paired_arms(small_universe(seed=4), policies, SPEC, cfg, seed=2)
+        assert "log_pop" in info.value.arms
+        assert info.value.cause == "FloatingPointError: log_pop failed in session 2"
+        assert f"arms {info.value.arms} failed: FloatingPointError" in str(info.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "log_pop failed in session 2" in err
+
+    def test_worker_killed_by_a_signal_is_reported(self, monkeypatch):
+        calls = []
+        original = LogPopPolicy.rank_batch
+
+        def dying(self, *args):
+            calls.append(None)
+            if len(calls) == 2:  # session 1, in the worker
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(self, *args)
+
+        monkeypatch.setattr(LogPopPolicy, "rank_batch", dying)
+        cfg = SessionConfig(sessions=3, pool_size=15, slate_size=5, consume_top_k=2)
+        policies = {"control": ControlPolicy(), "log_pop": LogPopPolicy(0.4)}
+        with workers(2), pytest.raises(ArmWorkerError, match="killed by signal 9") as info:
+            run_paired_arms(small_universe(seed=4), policies, SPEC, cfg, seed=2)
+        assert info.value.arms == ["log_pop"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_split_takes_the_longest_arm_first_to_the_lightest_share(self):
+        # per-arm stepping cost (ms) of a seed-27 closed_loop arms call, in
+        # config order; after 630 | 350 + 280 the loads tie, and the share
+        # with fewer arms takes 250
+        cost = [250, 630, 210, 200, 280, 350]
+        assert simulator._split_by_cost(cost, 2) == [[0, 1], [2, 3, 4, 5]]
+        assert simulator._split_by_cost(cost, 6) == [[1], [5], [4], [0], [2], [3]]
+        # equal costs still give every share an arm
+        assert simulator._split_by_cost([0.0] * 3, 3) == [[0], [1], [2]]
 
     # digests measured with the arm-by-arm runner that built every session's
     # draws once per arm (CPython 3.11.7, numpy 2.4.6, x86-64 Linux); the
