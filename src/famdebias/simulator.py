@@ -10,13 +10,16 @@ are paired (common random numbers). The draws depend only on (seed,
 session), so ``run_paired_arms`` builds each session's draws once and
 steps every arm against them; each arm keeps its own state and log, and its
 result equals a run of that policy alone, so worker processes can step
-disjoint sets of arms without changing any output. Users advance
-independently within a session; the implementation batches them for speed
-without changing any per-user result.
+disjoint sets of arms without changing any output. The arrays a worker
+fills are allocated in shared memory before the fork and filled in place,
+never replaced, so its writes land in the calling process's arrays. Users
+advance independently within a session; the implementation batches them
+for speed without changing any per-user result.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import selectors
 import signal
@@ -637,23 +640,23 @@ class ArmResult:
 
 
 class _LogColumns:
-    """Log columns preallocated for a whole run, one block of rows per session."""
+    """Log columns preallocated for a whole run, one block of rows per session.
 
-    COLUMNS = (
-        "users", "items", "timestamps", "watch_times", "urps", "features", "quality", "inflation"
-    )
+    ``empty(shape, dtype)`` allocates them (``_shared_zeros`` if workers
+    step the arms); ``put`` fills them in place, and nothing replaces them.
+    """
 
-    def __init__(self, rows_per_session: int, sessions: int, arity: int):
+    def __init__(self, rows_per_session: int, sessions: int, arity: int, empty: Callable):
         n = rows_per_session * sessions
         self.block = rows_per_session
-        self.users = np.empty(n, dtype=np.int64)
-        self.items = np.empty(n, dtype=np.int64)
-        self.timestamps = np.empty(n)
-        self.watch_times = np.empty(n)
-        self.urps = np.empty(n)
-        self.features = np.empty((n, arity))
-        self.quality = np.empty(n)
-        self.inflation = np.empty(n)
+        self.users = empty(n, np.int64)
+        self.items = empty(n, np.int64)
+        self.timestamps = empty(n, np.float64)
+        self.watch_times = empty(n, np.float64)
+        self.urps = empty(n, np.float64)
+        self.features = empty((n, arity), np.float64)
+        self.quality = empty(n, np.float64)
+        self.inflation = empty(n, np.float64)
 
     def put(self, session: int, **columns: np.ndarray) -> None:
         rows = slice(session * self.block, (session + 1) * self.block)
@@ -751,16 +754,20 @@ def run_paired_arms(
     CPUs, the arms step session 0 here, timed, and are then split by those
     times into one share per worker process (``_split_by_cost``); each
     worker steps its share through the remaining sessions against its own
-    builds of the draws (``_step_in_workers``). The results do not depend
-    on the number of workers.
+    builds of the draws (``_step_in_workers``). The arrays a worker fills,
+    log columns and impression counts (copied after session 0), are in
+    shared memory, allocated before the fork and filled in place, never
+    replaced. The results do not depend on the number of workers.
     """
     if not policies:
         return []
     schema = inflation.schema()
     names = list(policies)
+    workers = _worker_count(len(names)) if cfg.sessions > 1 else 1
     states = [SessionState(universe, inflation, cfg) for _ in names]
+    empty = np.empty if workers < 2 else _shared_zeros
     logs = [
-        _LogColumns(universe.n_users * cfg.consume_top_k, cfg.sessions, schema.arity)
+        _LogColumns(universe.n_users * cfg.consume_top_k, cfg.sessions, schema.arity, empty)
         for _ in names
     ]
     prior = PoolPrior.build(universe.n_items, cfg.pool_skew) if cfg.pool_skew > 0 else None
@@ -776,23 +783,23 @@ def run_paired_arms(
         return seconds
 
     every = list(range(len(names)))
-    workers = _worker_count(len(names)) if cfg.sessions > 1 else 1
     if workers < 2:
         for session in range(cfg.sessions):
             step(session, every)
     else:
         shares = _split_by_cost(step(0, every), workers)
+        for state in states:
+            for field in ("item_impressions", "user_creator_impressions"):
+                counts = getattr(state, field)
+                shared = _shared_zeros(counts.shape, counts.dtype)
+                shared[...] = counts
+                setattr(state, field, shared)
 
         def run_share(share: list[int]) -> None:
             for session in range(1, cfg.sessions):
                 step(session, share)
 
-        _step_in_workers(
-            shares,
-            names,
-            run_share,
-            lambda share: [b for i in share for b in _arm_buffers(logs[i], states[i])],
-        )
+        _step_in_workers(shares, names, run_share)
     return [
         ArmResult(
             name=name,
@@ -845,30 +852,21 @@ def _split_by_cost(seconds: list[float], shares: int) -> list[list[int]]:
     return [sorted(share) for share in out]
 
 
-def _arm_buffers(log: _LogColumns, state: SessionState) -> list[memoryview]:
-    """Byte views of what a worker sends back for one arm.
-
-    The log rows of sessions 1 onwards (session 0 was stepped before the
-    fork) and both impression counts; empty arrays are left out. Stepping
-    fills these arrays in place and never replaces them, so views taken
-    before the fork address the worker's copy in the worker.
-    """
-    arrays = [getattr(log, c)[log.block :] for c in _LogColumns.COLUMNS]
-    arrays += [state.item_impressions, state.user_creator_impressions]
-    return [memoryview(a).cast("B") for a in arrays if a.size]
+def _shared_zeros(shape: int | tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """Zeros in anonymous shared memory, which a forked worker writes into."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, max(nbytes, 1)))
 
 
-_SENT, _RAISED = b"\x00", b"\x01"  # a worker's first byte: buffers follow, or an error message
+_DONE = b"\x00"  # all a worker writes when its share is stepped
 
 
-def _work(
-    fd: int, inherited: list[int], run: Callable[[], None], buffers: list[memoryview]
-) -> NoReturn:
+def _work(fd: int, inherited: list[int], run: Callable[[], None]) -> NoReturn:
     """Body of a forked worker; never returns and runs no exit handler.
 
-    Steps its share, then writes ``_SENT`` and every buffer, or ``_RAISED``
-    and the exception's type and message after printing its traceback. An
-    interrupt or exit ends it with status 1 and nothing more written.
+    Steps its share, then writes ``_DONE``, or its traceback to fd 2 and the
+    exception's type and message to ``fd``. An interrupt or exit ends it
+    with status 1 and nothing written.
     """
     status = 1
     try:
@@ -878,106 +876,67 @@ def _work(
             run()
         except Exception as exc:
             os.write(2, traceback.format_exc().encode())
-            _send(fd, [memoryview(_RAISED + f"{type(exc).__name__}: {exc}".encode())])
+            report = f"{type(exc).__name__}: {exc}".encode()
         else:
-            _send(fd, [memoryview(_SENT), *buffers])
-            status = 0
+            report, status = _DONE, 0
+        with open(fd, "wb") as pipe:  # a buffered write loops until every byte is in the pipe
+            pipe.write(report)
     finally:
         os._exit(status)
 
 
-def _send(fd: int, views: list[memoryview]) -> None:
-    for view in views:
-        while view:
-            view = view[os.write(fd, view) :]
-
-
-@dataclass(eq=False)
-class _Worker:
-    """The parent's side of one worker: its pipe and the buffers still to fill."""
-
-    pid: int
-    fd: int
-    arms: list[str]
-    pending: list[memoryview]
-    head: bytes = b""
-    message: bytes = b""
-    reaped: bool = False
-
-    def read(self) -> bool:
-        """Take what the pipe holds; False at its end."""
-        if not self.head:
-            self.head = os.read(self.fd, 1)
-            return bool(self.head)
-        if self.head == _SENT and self.pending:
-            got = n = os.readv(self.fd, self.pending[:64])
-            while n:
-                view = self.pending[0]
-                if n < len(view):
-                    self.pending[0] = view[n:]
-                    break
-                n -= len(view)
-                self.pending.pop(0)
-            return got > 0
-        data = os.read(self.fd, 1 << 16)
-        self.message += data
-        return bool(data)
-
-    def outcome(self) -> str | None:
-        """Reap the worker once its pipe has ended; None if it sent everything."""
-        _, status = os.waitpid(self.pid, 0)
-        self.reaped = True
-        code = os.waitstatus_to_exitcode(status)
-        if self.head == _RAISED:
-            return self.message.decode(errors="replace")
-        if self.head == _SENT and not self.pending and code == 0:
-            return None
-        ended = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-        return f"it ended ({ended}) before sending all of its output"
+def _failure(report: bytes, status: int) -> str | None:
+    """Why a worker failed, from what it wrote and its wait status; None if it did not."""
+    code = os.waitstatus_to_exitcode(status)
+    if report not in (b"", _DONE):
+        return report.decode(errors="replace")
+    if report == _DONE and code == 0:
+        return None
+    ended = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+    return f"it ended ({ended}) before reporting that its arms were stepped"
 
 
 def _step_in_workers(
-    shares: list[list[int]],
-    names: list[str],
-    run_share: Callable[[list[int]], None],
-    buffers: Callable[[list[int]], list[memoryview]],
+    shares: list[list[int]], names: list[str], run_share: Callable[[list[int]], None]
 ) -> None:
-    """Run ``run_share(share)`` in one forked worker per share and take back ``buffers(share)``.
+    """Run ``run_share(share)`` in one forked worker per share.
 
-    The views are taken before the fork, so in the worker they address its
-    copy of the arrays. Each worker writes their bytes to a pipe, and the
-    parent reads every pipe as data arrives, straight into its own arrays.
-    If a worker fails, the others are killed and ``ArmWorkerError`` names
-    the failed worker's arms and exception. No worker outlives this call.
+    Outputs land in shared arrays, so a worker's pipe carries only ``_DONE``
+    or its exception. When one fails, the others are killed and
+    ``ArmWorkerError`` names its arms and exception. No worker outlives
+    this call.
     """
-    workers: list[_Worker] = []
+    running: dict[int, tuple[int, list[str]]] = {}  # pipe -> (pid, arms) of unreaped workers
     try:
         for share in shares:
-            views = buffers(share)
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _work(w, [r] + [other.fd for other in workers], lambda: run_share(share), views)
+                _work(w, [r, *running], lambda: run_share(share))
             os.close(w)
-            workers.append(_Worker(pid, r, [names[i] for i in share], views))
+            running[r] = (pid, [names[i] for i in share])
+        reports = dict.fromkeys(running, b"")
         with selectors.DefaultSelector() as selector:
-            for worker in workers:
-                selector.register(worker.fd, selectors.EVENT_READ, worker)
+            for fd in running:
+                selector.register(fd, selectors.EVENT_READ)
             while selector.get_map():
                 for key, _ in selector.select():
-                    worker = key.data
-                    if worker.read():
+                    data = os.read(key.fd, 1 << 16)
+                    reports[key.fd] += data
+                    if data:
                         continue
-                    selector.unregister(worker.fd)
-                    cause = worker.outcome()
+                    selector.unregister(key.fd)
+                    os.close(key.fd)
+                    pid, arms = running.pop(key.fd)
+                    cause = _failure(reports[key.fd], os.waitpid(pid, 0)[1])
                     if cause is not None:
-                        raise ArmWorkerError(worker.arms, cause)
+                        raise ArmWorkerError(arms, cause)
     finally:
-        for worker in workers:
-            os.close(worker.fd)
-            if not worker.reaped:  # an unreaped worker keeps its pid, so the kill is safe
-                os.kill(worker.pid, signal.SIGKILL)
-                os.waitpid(worker.pid, 0)
+        # an unreaped worker keeps its pid, so the kill is safe
+        for fd, (pid, _) in running.items():
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_arm(

@@ -721,6 +721,53 @@ class TestPairedRunner:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_worker_that_exits_0_early_is_a_failure(self, monkeypatch):
+        # a clean exit status is not enough: the worker must report that it
+        # stepped its arms
+        calls = []
+        original = LogPopPolicy.rank_batch
+
+        def leaving(self, *args):
+            calls.append(None)
+            if len(calls) == 2:  # session 1, in the worker
+                os._exit(0)
+            return original(self, *args)
+
+        monkeypatch.setattr(LogPopPolicy, "rank_batch", leaving)
+        cfg = SessionConfig(sessions=3, pool_size=15, slate_size=5, consume_top_k=2)
+        policies = {"control": ControlPolicy(), "log_pop": LogPopPolicy(0.4)}
+        with workers(2), pytest.raises(ArmWorkerError, match="exit code 0") as info:
+            run_paired_arms(small_universe(seed=4), policies, SPEC, cfg, seed=2)
+        assert info.value.arms == ["log_pop"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_long_exception_message_arrives_whole(self, monkeypatch, capfd):
+        # larger than a pipe's buffer, and multi-byte characters cross the
+        # parent's read boundaries
+        message = "".join(f"{i}é;" for i in range(60_000))
+        assert len(message.encode()) >= 256 * 1024
+        calls = []
+        original = LogPopPolicy.rank_batch
+
+        def failing(self, *args):
+            calls.append(None)
+            if len(calls) == 2:  # session 1, in the worker
+                raise ValueError(message)
+            return original(self, *args)
+
+        monkeypatch.setattr(LogPopPolicy, "rank_batch", failing)
+        cfg = SessionConfig(sessions=3, pool_size=15, slate_size=5, consume_top_k=2)
+        policies = {"control": ControlPolicy(), "log_pop": LogPopPolicy(0.4),
+                    "item_centric": policy_of("item_centric", 5)}
+        with workers(2), pytest.raises(ArmWorkerError) as info:
+            run_paired_arms(small_universe(seed=4), policies, SPEC, cfg, seed=2)
+        assert "log_pop" in info.value.arms
+        assert info.value.cause == f"ValueError: {message}"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        capfd.readouterr()  # the worker's traceback repeats the message
+
     def test_split_takes_the_longest_arm_first_to_the_lightest_share(self):
         # per-arm stepping cost (ms) of a seed-27 closed_loop arms call, in
         # config order; after 630 | 350 + 280 the loads tie, and the share

@@ -7,9 +7,12 @@ the benchmark makes, or a per-arm report metric past its reference
 tolerance, fails here too. Neither test changes the benchmark's files. The
 README's configuration table must name every field of each section's
 dataclass, and no key that the dataclass lacks. Each recorded ``BENCH_*.json``
-must hold every end-to-end metric of ``BENCHMARK.json`` for both sides.
+must hold every end-to-end metric of ``BENCHMARK.json`` for both sides. No
+module of the package imports a name it never uses, so a deletion leaves
+no import behind.
 """
 
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -141,3 +144,29 @@ def test_bench_record_is_well_formed(path):
                     statistics.median(values), rel=1e-12
                 ), where
             assert len(runs) == 1, f"{path.name}: {workload['name']}.{side} run counts {runs}"
+
+
+# names a module imports only for callers to reach through it
+REEXPORTS = {("harness", "run_arm")}  # perfbench/workloads.py calls harness.run_arm
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted((ROOT / "src" / "famdebias").glob("*.py")):
+        if path.name == "__init__.py":  # the package namespace re-exports its imports
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.stem}: {name}" for name in imported_names(tree)
+            if name not in used and (path.stem, name) not in REEXPORTS
+        ]
+    assert unused == []
