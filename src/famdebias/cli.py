@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .bucketizer import AdjustmentTable
-from .core import FeatureSchema, load, read_records
+from .core import FeatureSchema, load, read_jsonl, read_records
 from .debias import DebiasConfig, debias_scores, factor_source
 from .estimator import (
     RegressorModel,
@@ -32,12 +33,15 @@ from .harness import (
     emit_report,
     evaluate_results,
     fit_artifacts,
+    load_artifacts,
     make_policies,
-    read_arm_outputs,
+    read_arm_results,
     run_pipeline,
+    save_artifacts,
     write_arm_outputs,
+    write_manifest,
 )
-from .simulator import ArmWorkerError, run_paired_arms
+from .simulator import ArmWorkerError, InflationSpec, run_paired_arms
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -65,18 +69,12 @@ def _cmd_simulate(args) -> int:
     table = AdjustmentTable.load(args.table) if args.table else None
     model = RegressorModel.load(args.model) if args.model else None
     arm_names = args.arms.split(",") if args.arms else [a["name"] for a in cfg.arms]
-    known = {a["name"] for a in cfg.arms}
-    unknown = [n for n in arm_names if n not in known]
-    if unknown:
-        raise ConfigError(f"unknown arm(s) {unknown}")
+    # an unknown arm or a missing artifact is rejected before anything is written
+    policies = make_policies(cfg, table=table, model=model, arm_names=arm_names)
     universe = build_universe(cfg)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "manifest.json").write_text(
-        json.dumps(universe.manifest(), sort_keys=True) + "\n"
-    )
-    cfg.schema.save(outdir / "schema.json")
-    policies = make_policies(cfg, table=table, model=model, arm_names=arm_names)
+    write_manifest(universe, outdir)
+    save_artifacts(outdir, cfg.schema, None, None)
     results = run_paired_arms(universe, policies, cfg.inflation, cfg.session, cfg.experiment_seed)
     for result in results:
         write_arm_outputs(result, cfg.schema, outdir)
@@ -86,19 +84,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     cfg = ExperimentConfig.from_dict(_load_config(args.config))
-    from .core import read_jsonl
-
     log = read_jsonl(args.log, cfg.schema)
     if len(log) == 0:
         raise ConfigError("fitting log is empty")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     _, table, model = fit_artifacts(log, cfg)
-    table.save(outdir / "table.json")
-    print(f"wrote {outdir / 'table.json'}")
-    model.save(outdir / "model.json")
-    print(f"wrote {outdir / 'model.json'}")
-    cfg.schema.save(outdir / "schema.json")
+    for path in save_artifacts(Path(args.out), cfg.schema, table, model):
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -171,27 +162,12 @@ def _cmd_debias(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = ExperimentConfig.from_dict(_load_config(args.config))
-    logs_dir = Path(args.logs)
-    artifacts_dir = Path(args.artifacts)
-    table = AdjustmentTable.load(artifacts_dir / "table.json")
-    model = RegressorModel.load(artifacts_dir / "model.json")
+    table, model = load_artifacts(Path(args.artifacts))
     universe = build_universe(cfg)
-
-    from .simulator import ArmResult
-
-    results = {}
-    for arm in cfg.arms:
-        name = arm["name"]
-        log, impressions = read_arm_outputs(name, cfg.schema, logs_dir)
-        results[name] = ArmResult(
-            name=name,
-            log=log,
-            item_impressions=np.zeros(universe.n_items, dtype=np.int64),
-            user_creator_impressions=impressions,
-        )
+    results = read_arm_results(cfg, universe, Path(args.logs))
     report = evaluate_results(cfg, universe, results, table.edges, table, model)
-    emit_report(report, args.out)
-    print(f"report written to {Path(args.out) / 'report.json'}")
+    report_path = emit_report(report, args.out)[0]
+    print(f"report written to {report_path}")
     return EXIT_OK
 
 
@@ -204,7 +180,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
-    n, arity = 64, 4
+    n = 64
     feats = np.column_stack(
         [
             rng.integers(0, 20, n).astype(float),
@@ -214,18 +190,7 @@ def _cmd_gradcheck(args) -> int:
         ]
     )
     targets = rng.uniform(0.5, 4.0, n)
-    schema = FeatureSchema(
-        names=("c1", "c2", "r1", "a1"),
-        kinds=("count", "count", "recency", "affinity"),
-        monotonicity=(
-            "increasing-with-familiarity",
-            "increasing-with-familiarity",
-            "decreasing-with-familiarity",
-            "increasing-with-familiarity",
-        ),
-    )
-    import warnings
-
+    schema = InflationSpec.default().schema()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = train_xy(

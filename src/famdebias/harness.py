@@ -5,6 +5,9 @@ so two runs of the same config produce byte-identical report bundles. Config
 errors are raised before any stage runs. Stage failures abort with the stage
 name; the partial outputs the run created are retained under a ``failed/``
 directory inside the output directory.
+
+The files one stage hands the next (manifest, artifacts, arm logs and
+impression matrices) are named, written and read here alone.
 """
 
 from __future__ import annotations
@@ -233,6 +236,10 @@ def make_policies(
     arm_names: list[str],
 ) -> dict:
     """Policy object per configured arm named in ``arm_names``, in config order."""
+    known = [arm["name"] for arm in cfg.arms]
+    unknown = [name for name in arm_names if name not in known]
+    if unknown:
+        raise ConfigError(f"unknown arm(s) {unknown}; the config's arms are {known}")
     return {
         arm["name"]: build_policy(
             arm["policy"],
@@ -510,34 +517,51 @@ def emit_report(report: dict, outdir: str | Path) -> list[Path]:
     ]
 
 
-def _write_impressions(matrix: np.ndarray, path: Path) -> None:
-    with open(path, "w") as fh:
-        for row in matrix:
-            fh.write(",".join(map(str, row.tolist())) + "\n")
+def write_manifest(universe: Universe, outdir: Path) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "manifest.json").write_text(json.dumps(universe.manifest(), sort_keys=True) + "\n")
 
 
-def read_impressions(path: str | Path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([int(x) for x in line.split(",")])
-    return np.asarray(rows, dtype=np.int64)
+def save_artifacts(
+    outdir: Path, schema: FeatureSchema, table: AdjustmentTable | None, model: RegressorModel | None
+) -> list[Path]:
+    """Save the table and model unless None, then the schema; returns the table and model paths."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    saved = []
+    for artifact, name in ((table, "table.json"), (model, "model.json")):
+        if artifact is not None:
+            artifact.save(outdir / name)
+            saved.append(outdir / name)
+    schema.save(outdir / "schema.json")
+    return saved
+
+
+def load_artifacts(artifacts_dir: Path) -> tuple[AdjustmentTable, RegressorModel]:
+    table = AdjustmentTable.load(artifacts_dir / "table.json")
+    return table, RegressorModel.load(artifacts_dir / "model.json")
 
 
 def write_arm_outputs(result: ArmResult, schema: FeatureSchema, logs_dir: Path) -> None:
     logs_dir.mkdir(parents=True, exist_ok=True)
     write_jsonl(result.log, logs_dir / f"{result.name}.jsonl")
-    _write_impressions(
-        result.user_creator_impressions, logs_dir / f"{result.name}_impressions.csv"
-    )
+    impressions = result.user_creator_impressions
+    np.savetxt(logs_dir / f"{result.name}_impressions.csv", impressions, fmt="%d", delimiter=",")
 
 
 def read_arm_outputs(name: str, schema: FeatureSchema, logs_dir: Path) -> tuple[InteractionLog, np.ndarray]:
     log = read_jsonl(logs_dir / f"{name}.jsonl", schema)
-    impressions = read_impressions(logs_dir / f"{name}_impressions.csv")
-    return log, impressions
+    return log, np.loadtxt(logs_dir / f"{name}_impressions.csv", np.int64, delimiter=",", ndmin=2)
+
+
+def read_arm_results(
+    cfg: ExperimentConfig, universe: Universe, logs_dir: Path
+) -> dict[str, ArmResult]:
+    """Every configured arm's outputs; ``item_impressions`` is zeros: evaluation never reads it."""
+    results = {}
+    for name in (arm["name"] for arm in cfg.arms):
+        log, impressions = read_arm_outputs(name, cfg.schema, logs_dir)
+        results[name] = ArmResult(name, log, np.zeros(universe.n_items, np.int64), impressions)
+    return results
 
 
 def run_pipeline(config: dict, outdir: str | Path) -> dict:
@@ -556,9 +580,7 @@ def run_pipeline(config: dict, outdir: str | Path) -> dict:
     stage = "universe"
     try:
         universe = build_universe(cfg)
-        (outdir / "manifest.json").write_text(
-            json.dumps(universe.manifest(), sort_keys=True) + "\n"
-        )
+        write_manifest(universe, outdir)
 
         stage = "simulate-control"
         control_name = cfg.control_name
@@ -568,11 +590,7 @@ def run_pipeline(config: dict, outdir: str | Path) -> dict:
 
         stage = "fit"
         edges, table, model = fit_artifacts(results[control_name].log, cfg)
-        artifacts_dir = outdir / "artifacts"
-        artifacts_dir.mkdir(exist_ok=True)
-        table.save(artifacts_dir / "table.json")
-        model.save(artifacts_dir / "model.json")
-        cfg.schema.save(artifacts_dir / "schema.json")
+        save_artifacts(outdir / "artifacts", cfg.schema, table, model)
 
         stage = "simulate-arms"
         rest = [a["name"] for a in cfg.arms if a["name"] != control_name]

@@ -26,8 +26,9 @@ from famdebias.simulator import (
     Universe,
     UniverseConfig,
     run_arm,
-    synthetic_training_log,
 )
+
+from synthetic_log import synthetic_training_log
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 REPRO_CONFIG = json.loads((CONFIG_DIR / "repro.json").read_text())

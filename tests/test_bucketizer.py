@@ -16,7 +16,9 @@ from famdebias.bucketizer import (
     quantile_cuts,
 )
 from famdebias.core import FeatureSchema, InteractionLog
-from famdebias.simulator import InflationSpec, Universe, UniverseConfig, synthetic_training_log
+from famdebias.simulator import InflationSpec, Universe, UniverseConfig
+
+from synthetic_log import synthetic_training_log
 
 SCHEMA_1 = FeatureSchema(
     names=("x",), kinds=("count",), monotonicity=("increasing-with-familiarity",)

@@ -31,8 +31,9 @@ from famdebias.simulator import (
     UniverseConfig,
     run_arm,
     run_paired_arms,
-    synthetic_training_log,
 )
+
+from synthetic_log import synthetic_training_log
 
 SCHEMA_1 = FeatureSchema(
     names=("x",), kinds=("count",), monotonicity=("increasing-with-familiarity",)

@@ -14,6 +14,7 @@ from famdebias.harness import (
     ExperimentConfig,
     StageError,
     emit_report,
+    make_policies,
     run_pipeline,
 )
 from famdebias.policies import LogPopPolicy, build_policy
@@ -33,13 +34,18 @@ def quick_run(quick_config, tmp_path_factory):
     return report, outdir
 
 
+REPORT_FILES = (
+    "report.json",
+    "table1.csv",
+    "fig3_distribution.csv",
+    "fig4_shift.csv",
+    "fig4_calibration.csv",
+)
+
+
 def bundle_bytes(outdir: Path) -> dict:
     names = [
-        "report.json",
-        "table1.csv",
-        "fig3_distribution.csv",
-        "fig4_shift.csv",
-        "fig4_calibration.csv",
+        *REPORT_FILES,
         "manifest.json",
         "artifacts/table.json",
         "artifacts/model.json",
@@ -227,6 +233,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(f"arms[4].{path}: ")):
             ExperimentConfig.from_dict(broken)
 
+    def test_make_policies_rejects_an_unknown_arm(self, quick_config):
+        cfg = ExperimentConfig.from_dict(quick_config)
+        with pytest.raises(ConfigError, match="'ghost'"):
+            make_policies(cfg, None, None, ["control", "ghost"])
+
     def test_config_echo_round_trips(self, quick_config):
         cfg = ExperimentConfig.from_dict(quick_config)
         again = ExperimentConfig.from_dict(cfg.to_dict())
@@ -335,7 +346,8 @@ class TestEmitReport:
 
 class TestStageIsolation:
     def test_staged_cli_flow_matches_pipeline(self, quick_config, quick_run, tmp_path):
-        report, _ = quick_run
+        """simulate, fit, simulate, evaluate write the bytes run writes, every file."""
+        report, outdir = quick_run
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(quick_config))
         logs_dir = tmp_path / "stage_logs"
@@ -361,12 +373,25 @@ class TestStageIsolation:
             "--artifacts", str(fit_dir), "--out", str(eval_dir),
         ]) == 0
 
-        staged = json.loads((eval_dir / "report.json").read_text())
-        assert staged["deltas"] == report["deltas"]
-        assert staged["arms"] == report["arms"]
-        assert staged["diagnostics"]["mean_one_max_abs_deviation"] == (
-            report["diagnostics"]["mean_one_max_abs_deviation"]
+        # staged file -> the file run_pipeline wrote with the same contents
+        same = {eval_dir / name: outdir / name for name in REPORT_FILES}
+        same.update(
+            (fit_dir / name, outdir / "artifacts" / name)
+            for name in ("table.json", "model.json", "schema.json")
         )
+        same[logs_dir / "schema.json"] = outdir / "artifacts" / "schema.json"
+        same[logs_dir / "manifest.json"] = outdir / "manifest.json"
+        for arm in report["arms"]:
+            for name in (f"{arm}.jsonl", f"{arm}_impressions.csv"):
+                same[logs_dir / name] = outdir / "logs" / name
+
+        def files(*dirs):
+            return {p for d in dirs for p in d.rglob("*") if p.is_file()}
+
+        assert files(logs_dir, fit_dir, eval_dir) == set(same)
+        assert files(outdir) == set(same.values())
+        for staged, piped in same.items():
+            assert staged.read_bytes() == piped.read_bytes(), staged.relative_to(tmp_path)
 
 
 class TestCli:
@@ -435,17 +460,22 @@ class TestCli:
         assert "error: config: expected a JSON object" in capsys.readouterr().err
         assert not outdir.exists()
 
-    def test_unknown_arm_exits_2(self, quick_config, tmp_path):
+    def test_unknown_arm_exits_2(self, quick_config, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(quick_config))
+        outdir = tmp_path / "logs"
         assert main(["simulate", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "logs"), "--arms", "ghost"]) == 2
+                     "--out", str(outdir), "--arms", "ghost"]) == 2
+        assert "ghost" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_arm_needing_artifacts_without_them_exits_2(self, quick_config, tmp_path):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(quick_config))
+        outdir = tmp_path / "logs"
         assert main(["simulate", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "logs"), "--arms", "debias_discrete"]) == 2
+                     "--out", str(outdir), "--arms", "debias_discrete"]) == 2
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("bad_line", ["[1,2]", '{"user_id": 0,'])
     def test_malformed_log_line_exits_2_naming_the_line(self, quick_config, quick_run,

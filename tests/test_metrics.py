@@ -27,8 +27,9 @@ from famdebias.simulator import (
     Universe,
     UniverseConfig,
     run_arm,
-    synthetic_training_log,
 )
+
+from synthetic_log import synthetic_training_log
 
 SCHEMA_1 = FeatureSchema(
     names=("x",), kinds=("affinity",), monotonicity=("increasing-with-familiarity",)

@@ -48,8 +48,9 @@ from famdebias.simulator import (
     run_arm,
     run_paired_arms,
     sample_pool,
-    synthetic_training_log,
 )
+
+from synthetic_log import synthetic_training_log
 
 SPEC = InflationSpec(
     features=(

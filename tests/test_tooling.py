@@ -9,10 +9,13 @@ README's configuration table must name every field of each section's
 dataclass, and no key that the dataclass lacks. Each recorded ``BENCH_*.json``
 must hold every end-to-end metric of ``BENCHMARK.json`` for both sides. No
 module of the package imports a name it never uses, so a deletion leaves
-no import behind.
+no import behind, and every module-level function and class has a caller
+in the package or the benchmark. Only ``harness`` names the files one stage
+hands the next.
 """
 
 import ast
+import collections
 import dataclasses
 import importlib.util
 import json
@@ -146,6 +149,8 @@ def test_bench_record_is_well_formed(path):
             assert len(runs) == 1, f"{path.name}: {workload['name']}.{side} run counts {runs}"
 
 
+# the package's modules; __init__.py only re-exports what they define
+PACKAGE = sorted(p for p in (ROOT / "src" / "famdebias").glob("*.py") if p.name != "__init__.py")
 # names a module imports only for callers to reach through it
 REEXPORTS = {("harness", "run_arm")}  # perfbench/workloads.py calls harness.run_arm
 
@@ -160,9 +165,7 @@ def imported_names(tree):
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
-    for path in sorted((ROOT / "src" / "famdebias").glob("*.py")):
-        if path.name == "__init__.py":  # the package namespace re-exports its imports
-            continue
+    for path in PACKAGE:
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [
@@ -170,3 +173,51 @@ def test_no_module_imports_a_name_it_never_uses():
             if name not in used and (path.stem, name) not in REEXPORTS
         ]
     assert unused == []
+
+
+
+def names_in(node):
+    """Every identifier ``node`` mentions: names, attributes, imports and identifier strings."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.asname or sub.name
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            # perfbench/spans.py patches attributes it names as strings
+            if sub.value.isidentifier():
+                yield sub.value
+
+
+def test_every_module_level_definition_has_a_caller():
+    paths = [*PACKAGE, *sorted((ROOT / "perfbench").glob("*.py"))]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    named = collections.Counter(name for tree in trees.values() for name in names_in(tree))
+    uncalled = []
+    for path in PACKAGE:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                # a use inside the definition itself (recursion, a docstring) is not a caller
+                own = collections.Counter(names_in(node))[node.name]
+                if named[node.name] <= own:
+                    uncalled.append(f"{path.stem}.{node.name}")
+    assert uncalled == []
+
+
+# the files one stage writes and the next reads, as they appear in a name literal
+STAGE_FILES = ("manifest.json", "table.json", "model.json", "schema.json", ".jsonl",
+               "_impressions.csv")
+
+
+def test_only_harness_names_the_stage_files():
+    found = []
+    for path in PACKAGE:
+        if path.name == "harness.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found += [f"{path.name}:{node.lineno}: {name}"
+                          for name in STAGE_FILES if name in node.value]
+    assert found == []
