@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import types
 import typing
@@ -258,25 +259,30 @@ def _encode_column(column: np.ndarray) -> list[str]:
     return list(map(_encode, values))
 
 
+def _row_format(names: tuple[str, ...], oracle: list[str]) -> str:
+    """The %-format of one ``write_jsonl`` line: one ``%s`` per value, in column order."""
+    def field(name: str) -> str:
+        return _encode(name).replace("%", "%%") + ":%s"
+
+    return "{%s}\n" % ",".join([
+        *map(field, ("user_id", "item_id", "creator_id", "timestamp", "watch_time", "urps")),
+        _encode("familiarity") + ":{" + ",".join(map(field, names)) + "}",
+        *map(field, oracle),
+    ])
+
+
 def write_jsonl(log: InteractionLog, path: str | Path) -> None:
     """Write one JSON object per record; oracle columns included when present.
 
     Each line is exactly ``json.dumps(record, separators=(",", ":"))``; the
     records are formatted column by column, one block of rows at a time.
     """
-    def field(name: str) -> str:
-        return _encode(name).replace("%", "%%") + ":%s"
-
     optional = [(name, column) for name, column in
                 zip(_ORACLE, (log.true_quality, log.inflation)) if column is not None]
-    row_format = "{%s}\n" % ",".join([
-        *map(field, ("user_id", "item_id", "creator_id", "timestamp", "watch_time", "urps")),
-        _encode("familiarity") + ":{" + ",".join(map(field, log.schema.names)) + "}",
-        *(field(name) for name, _ in optional),
-    ])
+    row_format = _row_format(log.schema.names, [name for name, _ in optional])
     columns = [log.users, log.items, log.creators, log.timestamps, log.watch_times, log.urps,
                *log.features.T, *(column for _, column in optional)]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(log), _BLOCK_ROWS):
             tokens = [_encode_column(c[start:start + _BLOCK_ROWS]) for c in columns]
             fh.write("".join(map(row_format.__mod__, zip(*tokens))))
@@ -292,11 +298,11 @@ def _join_blocks(blocks: list[np.ndarray]) -> np.ndarray:
 def read_records(path: str | Path, parse: typing.Callable[[dict], object]):
     """Yield ``(line number, parse(obj))`` for each non-blank line of a JSON Lines file.
 
-    A line that is not a JSON object, or that ``parse`` cannot convert,
-    raises ``ValueError`` naming the file and the 1-based line; a missing
-    key raises ``KeyError`` the same way.
+    The file is UTF-8. A line that is not a JSON object, or that ``parse``
+    cannot convert, raises ``ValueError`` naming the file and the 1-based
+    line; a missing key raises ``KeyError`` the same way.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -312,13 +318,21 @@ def read_records(path: str | Path, parse: typing.Callable[[dict], object]):
                 raise ValueError(
                     f"{path}: line {lineno}: invalid JSON: {exc.msg} (column {exc.colno})"
                 ) from None
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             yield lineno, record
 
 
-def read_jsonl(path: str | Path, schema: FeatureSchema) -> InteractionLog:
-    """Read a log written by ``write_jsonl`` (or by hand) and validate it.
+def _number(obj: dict, key: str) -> float:
+    """``obj[key]`` as a float; a JSON boolean, string or null raises ``TypeError``."""
+    value = obj[key]
+    if type(value) is float or type(value) is int:
+        return float(value)
+    raise TypeError(f"{key}: expected a number, got {json.dumps(value)}")
+
+
+def _read_lines(path: str | Path, schema: FeatureSchema) -> tuple:
+    """``read_jsonl``'s columns from any JSON Lines log, one parsed line at a time.
 
     Lines go through ``read_records`` and into column arrays one block at a
     time. The oracle columns come as a pair on every record or on none.
@@ -328,10 +342,10 @@ def read_jsonl(path: str | Path, schema: FeatureSchema) -> InteractionLog:
     def parse(obj: dict) -> tuple:
         fam = obj["familiarity"]
         ids = (obj["user_id"], obj["item_id"], obj["creator_id"])
-        values = (float(obj["timestamp"]), float(obj["watch_time"]), float(obj["urps"]),
-                  *[float(fam[n]) for n in names])
+        values = (_number(obj, "timestamp"), _number(obj, "watch_time"), _number(obj, "urps"),
+                  *[_number(fam, n) for n in names])
         if "true_quality" in obj and "inflation" in obj:
-            return ids, values, (float(obj["true_quality"]), float(obj["inflation"])), ()
+            return ids, values, (_number(obj, "true_quality"), _number(obj, "inflation")), ()
         return ids, values, None, [k for k in _ORACLE if k not in obj]
 
     id_blocks: tuple[list, list, list] = ([], [], [])
@@ -364,9 +378,119 @@ def read_jsonl(path: str | Path, schema: FeatureSchema) -> InteractionLog:
     values = (np.concatenate(value_blocks) if value_blocks
               else np.empty((0, 3 + schema.arity)))
     oracle = np.concatenate(oracle_blocks) if oracle_blocks else None
-    users, items, creators = (
-        _join_blocks(blocks) if blocks else np.asarray([]) for blocks in id_blocks
-    )
+    ids = [_join_blocks(blocks) if blocks else np.asarray([]) for blocks in id_blocks]
+    return ids, values, oracle
+
+
+# The bytes of the number tokens the bulk reader takes: -?(0|[1-9][0-9]*)(\.[0-9]+)?
+_NUMBER_BYTES = b"0123456789.-"
+# every byte but those of the CSV that np.loadtxt parses: numbers, commas and line ends
+_NOT_CSV = bytes(sorted(set(range(256)) - set(_NUMBER_BYTES + b",\n")))
+_IS_DIGIT = np.zeros(256, dtype=bool)
+_IS_DIGIT[list(b"0123456789")] = True
+_ENDS_VALUE = np.zeros(256, dtype=bool)  # the byte after a value: the next key or a closing brace
+_ENDS_VALUE[list(b",}")] = True
+_COLON, _MINUS, _DOT, _ZERO, _SLASH = b":-.0/"
+# longer tokens (a 400-digit integer, which float() refuses) take the per-line reader
+_MAX_TOKEN = 32
+
+
+def _bulk_block(block: bytes, skeleton: bytes, dtype: np.dtype) -> np.ndarray | None:
+    """One block of whole lines as a structured array, or None if it is not in the writer's layout.
+
+    With its number bytes deleted, the block must be ``skeleton`` once per
+    line, and each number token must fill one value: it follows a colon and
+    ends at a comma or a closing brace. Tokens must match JSON's number
+    grammar without an exponent, and a negative zero must have a fraction,
+    as ``float(-0)`` is positive. ``np.loadtxt`` then parses the block as
+    CSV; its ``ValueError`` (a fraction in an id, two dots, an id past
+    int64) means None too.
+    """
+    stripped = block.translate(None, _NUMBER_BYTES)
+    lines = len(stripped) // len(skeleton)
+    if stripped != skeleton * lines:
+        return None
+    b = np.frombuffer(block, dtype=np.uint8)
+    number = (b - _MINUS <= 12) & (b != _SLASH)  # the bytes 45 to 57 but 47
+    # run starts and ends alternate; a block that starts or ends inside a run
+    # fails the count or the colon check
+    bounds = np.flatnonzero(number[1:] != number[:-1])
+    starts, ends = bounds[0::2] + 1, bounds[1::2]
+    negative = b[starts] == _MINUS
+    first = starts + negative  # the first digit of each token
+    zero = b[first] == _ZERO
+    csv = block.translate(None, _NOT_CSV)
+    c = np.frombuffer(csv, dtype=np.uint8)
+    dots = np.flatnonzero(c == _DOT)
+    if not (
+        len(bounds) == 2 * lines * (3 + dtype["values"].shape[0])
+        and (b[starts - 1] == _COLON).all()
+        and _ENDS_VALUE[b[ends + 1]].all()
+        and (ends - starts < _MAX_TOKEN).all()
+        # a minus sign only leads a token, and every token has a digit first
+        and csv.count(b"-") == negative.sum()
+        and _IS_DIGIT[b[first]].all()
+        # no leading zero, and no negative zero without a fraction
+        and not (zero & (_IS_DIGIT[b[first + 1]] | negative & (b[first + 1] != _DOT))).any()
+        # a dot has a digit on both sides
+        and (_IS_DIGIT[c[dots - 1]] & _IS_DIGIT[c[dots + 1]]).all()
+    ):
+        return None
+    try:
+        return np.loadtxt(io.StringIO(csv.decode("ascii")), dtype, delimiter=",",
+                          comments=None, ndmin=1)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _read_bulk(path: str | Path, schema: FeatureSchema) -> tuple | None:
+    """``read_jsonl``'s columns from a log in exactly ``write_jsonl``'s layout, or None.
+
+    Integer ids and number values only: the file is read in binary one block
+    of lines at a time, and each block is checked and parsed by
+    ``_bulk_block``. None for any other file, and for a schema name whose
+    JSON form holds a number byte, a colon or a comma.
+    """
+    # a name with a number byte cannot match a skeleton; one with a colon or a
+    # comma could make a key look like a value, or add a CSV column
+    if any(set(_encode(n)) & set(":,") for n in schema.names):
+        return None
+    layouts = {}  # line skeleton -> structured dtype, without and with the oracle columns
+    for oracle in ([], list(_ORACLE)):
+        n_values = 3 + schema.arity + len(oracle)
+        # _encode escapes every non-ASCII character
+        skeleton = (_row_format(schema.names, oracle) % (("",) * (3 + n_values))).encode("ascii")
+        layouts[skeleton] = np.dtype([("ids", np.int64, (3,)), ("values", np.float64, (n_values,))])
+    blocks = []
+    with open(path, "rb") as fh:
+        while block := b"".join(islice(fh, _BLOCK_ROWS)):
+            if not blocks:
+                # the first line says whether the oracle columns are there
+                skeleton = block[:block.find(b"\n") + 1].translate(None, _NUMBER_BYTES)
+                if skeleton not in layouts:
+                    return None
+            parsed = _bulk_block(block, skeleton, layouts[skeleton])
+            if parsed is None:
+                return None
+            blocks.append(parsed)
+    if not blocks:
+        return None
+    ids = np.concatenate([b["ids"] for b in blocks])
+    values = np.concatenate([b["values"] for b in blocks])
+    oracle = values[:, 3 + schema.arity:] if values.shape[1] > 3 + schema.arity else None
+    return [ids[:, k].copy() for k in range(3)], values[:, :3 + schema.arity], oracle
+
+
+def read_jsonl(path: str | Path, schema: FeatureSchema) -> InteractionLog:
+    """Read a log written by ``write_jsonl`` (or by hand) and validate it.
+
+    A file in exactly the writer's layout, with integer ids, is parsed in
+    bulk by ``_read_bulk``; any other file, or one that fails a check part
+    way, is read from the start by ``_read_lines``, so the arrays, their
+    dtypes and every error are the per-line reader's either way.
+    """
+    columns = _read_bulk(path, schema) or _read_lines(path, schema)
+    (users, items, creators), values, oracle = columns
     return validate_log(InteractionLog(
         schema=schema,
         users=users,

@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from famdebias.core import (
     validate_log,
     write_jsonl,
 )
+from famdebias.harness import ExperimentConfig, run_pipeline
 from famdebias.simulator import (
     InflationSpec,
     SessionConfig,
@@ -464,6 +469,242 @@ class TestReadErrors:
         back = read_jsonl(write_lines(tmp_path / "log.jsonl", rows), SCHEMA)
         assert back.users.dtype == np.asarray([*range(BLOCK), "u"]).dtype
         assert back.users.tolist() == np.asarray([*range(BLOCK), "u"]).tolist()
+
+    @pytest.mark.parametrize("field", ["timestamp", "true_quality"])
+    def test_huge_integer_in_a_float_field_names_its_line(self, tmp_path, field):
+        lines = [good_line(true_quality=1.0, inflation=1.0)] * 2
+        lines.append(good_line(**{"true_quality": 1.0, "inflation": 1.0, field: 10**400}))
+        path = write_lines(tmp_path / "log.jsonl", lines)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3:")):
+            read_jsonl(path, SCHEMA)
+
+    @pytest.mark.parametrize("value", [True, "2.5", None])
+    @pytest.mark.parametrize("field", ["timestamp", "watch_time", "urps", "days_since",
+                                       "true_quality", "inflation"])
+    def test_non_number_in_a_numeric_field_names_its_line(self, tmp_path, field, value):
+        row = json.loads(good_line(true_quality=1.0, inflation=1.0))
+        (row["familiarity"] if field in SCHEMA.names else row)[field] = value
+        path = write_lines(tmp_path / "log.jsonl", [good_line(true_quality=1.0, inflation=1.0),
+                                                    json.dumps(row)])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: {field}: expected a number")):
+            read_jsonl(path, SCHEMA)
+
+    def test_ids_keep_any_json_type(self, tmp_path):
+        rows = [good_line(user_id=True, item_id="2.5", creator_id=1.5)]
+        back = read_jsonl(write_lines(tmp_path / "log.jsonl", rows), SCHEMA)
+        assert (back.users.tolist(), back.items.tolist(), back.creators.tolist()) == (
+            [True], ["2.5"], [1.5])
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        # a raw non-ASCII id, as a hand-written log may hold; the writer escapes it
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(good_line(user_id="é", item_id="x").replace("\\u00e9", "é")
+                         .encode() + b"\n")
+        script = (
+            "import json, sys; from famdebias.core import FeatureSchema, read_jsonl, write_jsonl; "
+            "schema = FeatureSchema(*json.loads(sys.argv[3])); "
+            "log = read_jsonl(sys.argv[1], schema); write_jsonl(log, sys.argv[2]); "
+            "print(log.users.tolist() == ['\\xe9'], read_jsonl(sys.argv[2], schema).users[0] == '\\xe9')"
+        )
+        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONPATH": str(Path(core.__file__).parent.parent)}
+        env.pop("PYTHONUTF8", None)
+        schema = json.dumps([SCHEMA.names, SCHEMA.kinds, SCHEMA.monotonicity])
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", script, str(path), str(tmp_path / "back.jsonl"),
+             schema], env=env, capture_output=True, text=True, encoding="utf-8",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "True"]
+        assert b"\\u00e9" in (tmp_path / "back.jsonl").read_bytes()
+
+
+def read_outcome(path, schema, bulk=True):
+    """What ``read_jsonl`` returns, column by column, or the type and message it raises.
+
+    ``bulk=False`` disables the bulk path, leaving the per-line reader. Each
+    column comes with its dtype, shape, contiguity and ownership, and its
+    values as bytes (object columns as the repr of their values).
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if not bulk:
+            patch.setattr(core, "_read_bulk", lambda path, schema: None)
+        try:
+            log = read_jsonl(path, schema)
+        except Exception as exc:
+            return type(exc), str(exc)
+    columns = (log.users, log.items, log.creators, log.timestamps, log.watch_times, log.urps,
+               log.features, log.true_quality, log.inflation)
+    return [None if a is None else (
+        a.dtype, a.shape, a.flags.c_contiguous, a.flags.owndata,
+        repr(a.tolist()) if a.dtype.kind == "O" else a.tobytes(),
+    ) for a in columns]
+
+
+# floats that float.__repr__ writes without an exponent, and signed zeros
+plain_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e-4, 1e15 + 0.5, 9007199254740993.0]),
+    st.floats(1e-4, 1e15), st.floats(-1e15, -1e-4), st.integers(-10**6, 10**6).map(float),
+)
+
+
+@st.composite
+def writer_log(draw, min_rows=0):
+    """Logs the bulk path takes: int64 ids, plain floats, names without number bytes."""
+    n = draw(st.sampled_from([1, 2, 7, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    n = max(n, min_rows)
+    arity = draw(st.integers(1, 3))
+    names = tuple(draw(st.lists(st.text("abz_%\"\\ \n\uabcd", min_size=1, max_size=4),
+                                min_size=arity, max_size=arity, unique=True)))
+    schema = FeatureSchema(names, ("count",) * arity, ("increasing-with-familiarity",) * arity)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    float_pool = np.asarray(draw(st.lists(plain_floats, min_size=1, max_size=12)))
+    id_pool = np.asarray(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8)),
+                         dtype=np.int64)
+
+    def floats(*shape):
+        return rng.choice(float_pool, size=(n, *shape))
+
+    oracle = draw(st.booleans())
+    return InteractionLog(
+        schema=schema, users=rng.choice(id_pool, n), items=rng.choice(id_pool, n),
+        creators=rng.choice(id_pool, n), timestamps=floats(), watch_times=floats(),
+        urps=floats(), features=floats(arity),
+        true_quality=floats() if oracle else None, inflation=floats() if oracle else None,
+    )
+
+
+# bytes that make or break a number token or the line around it
+EDIT_BYTES = [*b"0123456789.-+eE,:{}\"\n\r\t ", 0xC3, 0xFF]
+
+
+class TestBulkRead:
+    """The bulk path returns and raises exactly what the per-line reader does."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(log=any_log())
+    def test_any_log_reads_as_per_line(self, tmp_path_factory, log):
+        path = tmp_path_factory.mktemp("bulk") / "log.jsonl"
+        write_jsonl(log, path)
+        assert read_outcome(path, log.schema) == read_outcome(path, log.schema, bulk=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log=writer_log())
+    def test_writer_logs_take_the_bulk_path(self, tmp_path_factory, log):
+        path = tmp_path_factory.mktemp("bulk") / "log.jsonl"
+        write_jsonl(log, path)
+        assert core._read_bulk(path, log.schema) is not None
+        assert read_outcome(path, log.schema) == read_outcome(path, log.schema, bulk=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log=writer_log(), edit=st.sampled_from(["flip", "insert", "delete"]),
+           where=st.floats(0, 1, exclude_max=True), byte=st.sampled_from(EDIT_BYTES))
+    def test_one_byte_edit_reads_as_per_line(self, tmp_path_factory, log, edit, where, byte):
+        path = tmp_path_factory.mktemp("bulk") / "log.jsonl"
+        write_jsonl(log, path)
+        data = path.read_bytes()
+        # edit the first line, or one near the end of the first block
+        at = int(where * min(len(data), 600)) + (len(data) // 2 if len(data) > 2000 else 0)
+        tail = data[at + 1:] if edit in ("flip", "delete") else data[at:]
+        path.write_bytes(data[:at] + (b"" if edit == "delete" else bytes([byte])) + tail)
+        assert read_outcome(path, log.schema) == read_outcome(path, log.schema, bulk=False)
+
+    @pytest.mark.parametrize("case", ["blank line", "crlf", "no final newline", "exponent"])
+    def test_other_layouts_fall_back(self, tmp_path, case):
+        log = make_log([{"user": k, "item": 2 * k, "creator": 1} for k in range(5)])
+        path = tmp_path / "log.jsonl"
+        write_jsonl(log, path)
+        data = path.read_bytes()
+        path.write_bytes({
+            "blank line": data.replace(b"\n", b"\n\n", 1),
+            "crlf": data.replace(b"\n", b"\r\n"),
+            "no final newline": data[:-1],
+            "exponent": data.replace(b'"urps":2.0', b'"urps":2e0', 1),
+        }[case])
+        assert core._read_bulk(path, SCHEMA) is None
+        outcome = read_outcome(path, SCHEMA)
+        assert outcome == read_outcome(path, SCHEMA, bulk=False)
+        assert outcome[5][-1] == np.full(5, 2.0).tobytes()
+
+    def test_a_name_with_a_digit_takes_the_per_line_reader(self, tmp_path):
+        schema = FeatureSchema(("f1", "f2"), ("count",) * 2, ("increasing-with-familiarity",) * 2)
+        log = InteractionLog(schema, np.arange(3), np.arange(3), np.arange(3), np.ones(3),
+                             np.ones(3), np.ones(3), np.arange(6.0).reshape(3, 2))
+        path = tmp_path / "log.jsonl"
+        write_jsonl(log, path)
+        assert core._read_bulk(path, schema) is None
+        assert np.array_equal(read_jsonl(path, schema).features, log.features)
+
+    @pytest.mark.parametrize("field, token", [
+        *(("urps", t) for t in ["+2.0", "02.0", "2.", ".5", "1.2.3", "2.0 ", "1" * 33]),
+        ("watch_time", "-0"),  # float(-0) is 0.0; np.loadtxt reads -0.0
+    ])
+    def test_a_bad_block_after_good_ones_reads_the_file_from_the_start(self, tmp_path, field,
+                                                                       token):
+        log = make_log([{"user": k, "item": k, "creator": 0} for k in range(BLOCK + 9)])
+        path = tmp_path / "log.jsonl"
+        write_jsonl(log, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        good = {"urps": b'"urps":2.0', "watch_time": b'"watch_time":10.0'}[field]
+        lines[BLOCK + 4] = lines[BLOCK + 4].replace(good, f'"{field}":{token}'.encode())
+        path.write_bytes(b"".join(lines))
+        assert core._read_bulk(path, SCHEMA) is None
+        outcome = read_outcome(path, SCHEMA)
+        assert outcome == read_outcome(path, SCHEMA, bulk=False)
+        if isinstance(outcome, tuple):
+            assert f"{path}: line {BLOCK + 5}:" in outcome[1]
+
+    @pytest.mark.parametrize("good, bad", [
+        # a value moved past its closing brace: a colon must lead each token
+        (b'"affinity":0.5}}', b'"affinity":}0.5}'),
+        # a value moved before the brace that opens the familiarity object
+        (b'"familiarity":{"watch_count":1.0', b'"familiarity":1.0{"watch_count":'),
+    ])
+    def test_a_token_out_of_its_slot_takes_the_per_line_reader(self, tmp_path, good, bad):
+        path = tmp_path / "log.jsonl"
+        write_jsonl(make_log([{"user": 1, "item": 2, "creator": 3}] * 3), path)
+        path.write_bytes(path.read_bytes().replace(good, bad, 1))
+        assert core._read_bulk(path, SCHEMA) is None
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: invalid JSON")):
+            read_jsonl(path, SCHEMA)
+
+    def test_a_name_with_a_colon_takes_the_per_line_reader(self, tmp_path):
+        # a number inside the name "x:}" would follow a colon and end at a brace
+        schema = FeatureSchema(("x:}",), ("count",), ("increasing-with-familiarity",))
+        path = tmp_path / "log.jsonl"
+        write_jsonl(InteractionLog(schema, [1], [2], [3], [1.0], [1.0], [1.0], [[5.0]]), path)
+        path.write_bytes(path.read_bytes().replace(b'{"x:}":5.0}', b'{"x:5.0}":}'))
+        assert core._read_bulk(path, schema) is None
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: invalid JSON")):
+            read_jsonl(path, schema)
+
+    @pytest.mark.parametrize("token", ["2.", ".5", "-.5", "02", "-02", "+2", "-", "--2", "2-1",
+                                       "", "2..5", "-0", "1" * 33])
+    def test_bad_tokens_never_reach_the_csv_parser(self, tmp_path, monkeypatch, token):
+        path = tmp_path / "log.jsonl"
+        write_jsonl(make_log([{"user": 1, "item": 2, "creator": 3}] * 3), path)
+        path.write_bytes(path.read_bytes().replace(b'"urps":2.0', f'"urps":{token}'.encode(), 1))
+
+        def loadtxt(*args, **kwargs):
+            raise AssertionError(f"{token!r} reached np.loadtxt")
+
+        monkeypatch.setattr(core.np, "loadtxt", loadtxt)
+        assert core._read_bulk(path, SCHEMA) is None
+
+    def test_the_pipelines_own_logs_take_the_bulk_path(self, tmp_path, monkeypatch):
+        config = json.loads((Path(__file__).resolve().parent.parent / "configs" / "quick.json")
+                            .read_text())
+        run_pipeline(config, tmp_path)
+        logs = sorted((tmp_path / "logs").glob("*.jsonl"))
+        assert len(logs) == 4
+        schema = ExperimentConfig.from_dict(config).schema
+        per_line = [read_outcome(path, schema, bulk=False) for path in logs]
+
+        def no_per_line_reads(*args):
+            raise AssertionError("a pipeline log fell back to the per-line reader")
+
+        monkeypatch.setattr(core, "read_records", no_per_line_reads)
+        assert [read_outcome(path, schema) for path in logs] == per_line
 
 
 class TestInteractionLog:

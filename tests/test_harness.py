@@ -495,6 +495,21 @@ class TestCli:
                      "--out", str(tmp_path / "eval")]) == 2
         assert f"control.jsonl: line 5:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["timestamp", "true_quality"])
+    def test_huge_integer_in_a_log_exits_2_naming_the_line(self, quick_config, quick_run,
+                                                           tmp_path, capsys, field):
+        _, outdir = quick_run
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(quick_config))
+        good = (outdir / "logs" / "control.jsonl").read_text().splitlines(keepends=True)
+        row = json.loads(good[4])
+        row[field] = 10**400
+        log = tmp_path / "control.jsonl"
+        log.write_text("".join(good[:4]) + json.dumps(row) + "\n")
+        assert main(["fit", "--config", str(cfg_path), "--log", str(log),
+                     "--out", str(tmp_path / "fit")]) == 2
+        assert "control.jsonl: line 5:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_debias_with_another_schema_exits_2(self, quick_run, tmp_path, capsys, mode):
         _, outdir = quick_run
