@@ -382,15 +382,20 @@ def _read_lines(path: str | Path, schema: FeatureSchema) -> tuple:
     return ids, values, oracle
 
 
-# The bytes of the number tokens the bulk reader takes: -?(0|[1-9][0-9]*)(\.[0-9]+)?
-_NUMBER_BYTES = b"0123456789.-"
+# The bytes of the number tokens the bulk reader takes:
+# -?(0|[1-9][0-9]*)(\.[0-9]+)?(E[-+]?[0-9]+)?, where the writer's exponents
+# (e-05, e+16) are read as E-05 and E+16
+_NUMBER_BYTES = b"0123456789.-+E"
+_IS_NUMBER = bytes(c in _NUMBER_BYTES for c in range(256))  # a translate table to 0 and 1
 # every byte but those of the CSV that np.loadtxt parses: numbers, commas and line ends
 _NOT_CSV = bytes(sorted(set(range(256)) - set(_NUMBER_BYTES + b",\n")))
 _IS_DIGIT = np.zeros(256, dtype=bool)
 _IS_DIGIT[list(b"0123456789")] = True
+_IS_SIGN = np.zeros(256, dtype=np.intp)
+_IS_SIGN[list(b"-+")] = 1
 _ENDS_VALUE = np.zeros(256, dtype=bool)  # the byte after a value: the next key or a closing brace
 _ENDS_VALUE[list(b",}")] = True
-_COLON, _MINUS, _DOT, _ZERO, _SLASH = b":-.0/"
+_COLON, _MINUS, _DOT, _ZERO, _E = b":-.0E"
 # longer tokens (a 400-digit integer, which float() refuses) take the per-line reader
 _MAX_TOKEN = 32
 
@@ -401,17 +406,21 @@ def _bulk_block(block: bytes, skeleton: bytes, dtype: np.dtype) -> np.ndarray | 
     With its number bytes deleted, the block must be ``skeleton`` once per
     line, and each number token must fill one value: it follows a colon and
     ends at a comma or a closing brace. Tokens must match JSON's number
-    grammar without an exponent, and a negative zero must have a fraction,
-    as ``float(-0)`` is positive. ``np.loadtxt`` then parses the block as
-    CSV; its ``ValueError`` (a fraction in an id, two dots, an id past
+    grammar, and a negative zero must have a fraction, as ``float(-0)`` is
+    positive. ``np.loadtxt`` then parses the block as CSV; its
+    ``ValueError`` (a fraction or an exponent in an id, two dots, an id past
     int64) means None too.
     """
     stripped = block.translate(None, _NUMBER_BYTES)
+    if stripped != skeleton * (len(stripped) // len(skeleton)):
+        # float.__repr__ writes values below 1e-4 and from 1e16 with an exponent
+        block = block.replace(b"e-", b"E-").replace(b"e+", b"E+")
+        stripped = block.translate(None, _NUMBER_BYTES)
+        if stripped != skeleton * (len(stripped) // len(skeleton)):
+            return None
     lines = len(stripped) // len(skeleton)
-    if stripped != skeleton * lines:
-        return None
     b = np.frombuffer(block, dtype=np.uint8)
-    number = (b - _MINUS <= 12) & (b != _SLASH)  # the bytes 45 to 57 but 47
+    number = np.frombuffer(block.translate(_IS_NUMBER), dtype=bool)
     # run starts and ends alternate; a block that starts or ends inside a run
     # fails the count or the colon check
     bounds = np.flatnonzero(number[1:] != number[:-1])
@@ -421,19 +430,23 @@ def _bulk_block(block: bytes, skeleton: bytes, dtype: np.dtype) -> np.ndarray | 
     zero = b[first] == _ZERO
     csv = block.translate(None, _NOT_CSV)
     c = np.frombuffer(csv, dtype=np.uint8)
-    dots = np.flatnonzero(c == _DOT)
+    dots, exponents = np.flatnonzero(c == _DOT), np.flatnonzero(c == _E)
     if not (
         len(bounds) == 2 * lines * (3 + dtype["values"].shape[0])
         and (b[starts - 1] == _COLON).all()
         and _ENDS_VALUE[b[ends + 1]].all()
         and (ends - starts < _MAX_TOKEN).all()
-        # a minus sign only leads a token, and every token has a digit first
-        and csv.count(b"-") == negative.sum()
+        # a minus sign leads a token or its exponent, a plus sign only the
+        # exponent, and every token has a digit first
+        and csv.count(b"-") == negative.sum() + csv.count(b"E-")
+        and csv.count(b"+") == csv.count(b"E+")
         and _IS_DIGIT[b[first]].all()
         # no leading zero, and no negative zero without a fraction
         and not (zero & (_IS_DIGIT[b[first + 1]] | negative & (b[first + 1] != _DOT))).any()
-        # a dot has a digit on both sides
+        # a dot has a digit on both sides, and a digit follows an exponent or
+        # its sign (so no byte but a digit can precede an exponent)
         and (_IS_DIGIT[c[dots - 1]] & _IS_DIGIT[c[dots + 1]]).all()
+        and _IS_DIGIT[c[exponents + 1 + _IS_SIGN[c[exponents + 1]]]].all()
     ):
         return None
     try:
@@ -455,21 +468,20 @@ def _read_bulk(path: str | Path, schema: FeatureSchema) -> tuple | None:
     # comma could make a key look like a value, or add a CSV column
     if any(set(_encode(n)) & set(":,") for n in schema.names):
         return None
-    layouts = {}  # line skeleton -> structured dtype, without and with the oracle columns
+    layouts = []  # (line skeleton, structured dtype) without and with the oracle columns
     for oracle in ([], list(_ORACLE)):
         n_values = 3 + schema.arity + len(oracle)
         # _encode escapes every non-ASCII character
         skeleton = (_row_format(schema.names, oracle) % (("",) * (3 + n_values))).encode("ascii")
-        layouts[skeleton] = np.dtype([("ids", np.int64, (3,)), ("values", np.float64, (n_values,))])
+        layouts.append((skeleton, np.dtype([("ids", np.int64, (3,)),
+                                            ("values", np.float64, (n_values,))])))
     blocks = []
     with open(path, "rb") as fh:
         while block := b"".join(islice(fh, _BLOCK_ROWS)):
             if not blocks:
-                # the first line says whether the oracle columns are there
-                skeleton = block[:block.find(b"\n") + 1].translate(None, _NUMBER_BYTES)
-                if skeleton not in layouts:
-                    return None
-            parsed = _bulk_block(block, skeleton, layouts[skeleton])
+                # the oracle columns are on every line or on none: the first says which
+                skeleton, dtype = layouts[b'"inflation":' in block[:block.find(b"\n")]]
+            parsed = _bulk_block(block, skeleton, dtype)
             if parsed is None:
                 return None
             blocks.append(parsed)
@@ -489,8 +501,7 @@ def read_jsonl(path: str | Path, schema: FeatureSchema) -> InteractionLog:
     way, is read from the start by ``_read_lines``, so the arrays, their
     dtypes and every error are the per-line reader's either way.
     """
-    columns = _read_bulk(path, schema) or _read_lines(path, schema)
-    (users, items, creators), values, oracle = columns
+    (users, items, creators), values, oracle = _read_bulk(path, schema) or _read_lines(path, schema)
     return validate_log(InteractionLog(
         schema=schema,
         users=users,

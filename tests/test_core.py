@@ -541,16 +541,18 @@ def read_outcome(path, schema, bulk=True):
     ) for a in columns]
 
 
-# floats that float.__repr__ writes without an exponent, and signed zeros
-plain_floats = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e-4, 1e15 + 0.5, 9007199254740993.0]),
+# finite floats, which float.__repr__ writes with an exponent below 1e-4 and from 1e16
+finite_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e-4, 9.5e-5, 1e16, -1e22, 5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308]),
     st.floats(1e-4, 1e15), st.floats(-1e15, -1e-4), st.integers(-10**6, 10**6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
 @st.composite
 def writer_log(draw, min_rows=0):
-    """Logs the bulk path takes: int64 ids, plain floats, names without number bytes."""
+    """Logs the bulk path takes: int64 ids, finite floats, names without number bytes."""
     n = draw(st.sampled_from([1, 2, 7, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
     n = max(n, min_rows)
     arity = draw(st.integers(1, 3))
@@ -558,7 +560,7 @@ def writer_log(draw, min_rows=0):
                                 min_size=arity, max_size=arity, unique=True)))
     schema = FeatureSchema(names, ("count",) * arity, ("increasing-with-familiarity",) * arity)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    float_pool = np.asarray(draw(st.lists(plain_floats, min_size=1, max_size=12)))
+    float_pool = np.asarray(draw(st.lists(finite_floats, min_size=1, max_size=12)))
     id_pool = np.asarray(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8)),
                          dtype=np.int64)
 
@@ -619,6 +621,7 @@ class TestBulkRead:
             "blank line": data.replace(b"\n", b"\n\n", 1),
             "crlf": data.replace(b"\n", b"\r\n"),
             "no final newline": data[:-1],
+            # JSON allows it; the writer writes e-05 and e+16, not e0
             "exponent": data.replace(b'"urps":2.0', b'"urps":2e0', 1),
         }[case])
         assert core._read_bulk(path, SCHEMA) is None
@@ -679,7 +682,8 @@ class TestBulkRead:
             read_jsonl(path, schema)
 
     @pytest.mark.parametrize("token", ["2.", ".5", "-.5", "02", "-02", "+2", "-", "--2", "2-1",
-                                       "", "2..5", "-0", "1" * 33])
+                                       "", "2..5", "-0", "1" * 33, "2e5", "2E", "2E+", "E5",
+                                       "2.E5", "2E+-5", "2+5", "2e-+5"])
     def test_bad_tokens_never_reach_the_csv_parser(self, tmp_path, monkeypatch, token):
         path = tmp_path / "log.jsonl"
         write_jsonl(make_log([{"user": 1, "item": 2, "creator": 3}] * 3), path)
