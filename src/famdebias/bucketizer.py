@@ -269,7 +269,7 @@ class AdjustmentTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "AdjustmentTable":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(json.loads(Path(path).read_bytes()))
 
 
 def _read_only(values, dtype) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bucketizer import AdjustmentTable
-from .core import FeatureSchema, load, read_jsonl, read_records
+from .core import FeatureSchema, _number, load, read_jsonl, read_records
 from .debias import DebiasConfig, debias_scores, factor_source
 from .estimator import (
     RegressorModel,
@@ -49,7 +49,7 @@ EXIT_STAGE = 3
 
 
 def _load_config(path: str, seed_override: int | None = None) -> dict:
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(Path(path).read_bytes())
     if seed_override is not None and isinstance(raw, dict):
         raw["experiment_seed"] = seed_override
     return raw
@@ -137,9 +137,9 @@ def _cmd_debias(args) -> int:
         return {
             "item_id": row["item_id"],
             "creator_id": row.get("creator_id", ""),
-            "urps": float(row["urps"]),
-            "familiarity": {n: float(fam[n]) for n in schema.names},
-            "quality_signals": {k: float(v) for k, v in signals.items()},
+            "urps": _number(row, "urps"),
+            "familiarity": {n: _number(fam, n) for n in schema.names},
+            "quality_signals": {k: _number(signals, k) for k in signals},
         }
 
     rows = [row for _, row in read_records(args.infile, candidate)]
@@ -172,7 +172,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = json.loads(Path(args.report).read_text())
+    report = json.loads(Path(args.report).read_bytes())
     emit_report(report, args.out)
     print(f"CSV tables written to {args.out}")
     return EXIT_OK

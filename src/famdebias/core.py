@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 import types
 import typing
 from dataclasses import asdict, dataclass
@@ -154,7 +155,7 @@ class FeatureSchema:
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureSchema":
-        return load(cls, json.loads(Path(path).read_text()))
+        return load(cls, json.loads(Path(path).read_bytes()))
 
 
 class InteractionLog:
@@ -298,16 +299,17 @@ def _join_blocks(blocks: list[np.ndarray]) -> np.ndarray:
 def read_records(path: str | Path, parse: typing.Callable[[dict], object]):
     """Yield ``(line number, parse(obj))`` for each non-blank line of a JSON Lines file.
 
-    The file is UTF-8. A line that is not a JSON object, or that ``parse``
-    cannot convert, raises ``ValueError`` naming the file and the 1-based
-    line; a missing key raises ``KeyError`` the same way.
+    The file is UTF-8 and its lines end at ``\\n``. A line that is not
+    UTF-8 or not a JSON object, or that ``parse`` cannot convert, raises
+    ``ValueError`` naming the file and the 1-based line; a missing key raises
+    ``KeyError`` the same way.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
                 if type(obj) is not dict:
                     raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
@@ -382,109 +384,55 @@ def _read_lines(path: str | Path, schema: FeatureSchema) -> tuple:
     return ids, values, oracle
 
 
-# The bytes of the number tokens the bulk reader takes:
-# -?(0|[1-9][0-9]*)(\.[0-9]+)?(E[-+]?[0-9]+)?, where the writer's exponents
-# (e-05, e+16) are read as E-05 and E+16
-_NUMBER_BYTES = b"0123456789.-+E"
-_IS_NUMBER = bytes(c in _NUMBER_BYTES for c in range(256))  # a translate table to 0 and 1
-# every byte but those of the CSV that np.loadtxt parses: numbers, commas and line ends
-_NOT_CSV = bytes(sorted(set(range(256)) - set(_NUMBER_BYTES + b",\n")))
-_IS_DIGIT = np.zeros(256, dtype=bool)
-_IS_DIGIT[list(b"0123456789")] = True
-_IS_SIGN = np.zeros(256, dtype=np.intp)
-_IS_SIGN[list(b"-+")] = 1
-_ENDS_VALUE = np.zeros(256, dtype=bool)  # the byte after a value: the next key or a closing brace
-_ENDS_VALUE[list(b",}")] = True
-_COLON, _MINUS, _DOT, _ZERO, _E = b":-.0E"
-# longer tokens (a 400-digit integer, which float() refuses) take the per-line reader
-_MAX_TOKEN = 32
-
-
-def _bulk_block(block: bytes, skeleton: bytes, dtype: np.dtype) -> np.ndarray | None:
-    """One block of whole lines as a structured array, or None if it is not in the writer's layout.
-
-    With its number bytes deleted, the block must be ``skeleton`` once per
-    line, and each number token must fill one value: it follows a colon and
-    ends at a comma or a closing brace. Tokens must match JSON's number
-    grammar, and a negative zero must have a fraction, as ``float(-0)`` is
-    positive. ``np.loadtxt`` then parses the block as CSV; its
-    ``ValueError`` (a fraction or an exponent in an id, two dots, an id past
-    int64) means None too.
-    """
-    stripped = block.translate(None, _NUMBER_BYTES)
-    if stripped != skeleton * (len(stripped) // len(skeleton)):
-        # float.__repr__ writes values below 1e-4 and from 1e16 with an exponent
-        block = block.replace(b"e-", b"E-").replace(b"e+", b"E+")
-        stripped = block.translate(None, _NUMBER_BYTES)
-        if stripped != skeleton * (len(stripped) // len(skeleton)):
-            return None
-    lines = len(stripped) // len(skeleton)
-    b = np.frombuffer(block, dtype=np.uint8)
-    number = np.frombuffer(block.translate(_IS_NUMBER), dtype=bool)
-    # run starts and ends alternate; a block that starts or ends inside a run
-    # fails the count or the colon check
-    bounds = np.flatnonzero(number[1:] != number[:-1])
-    starts, ends = bounds[0::2] + 1, bounds[1::2]
-    negative = b[starts] == _MINUS
-    first = starts + negative  # the first digit of each token
-    zero = b[first] == _ZERO
-    csv = block.translate(None, _NOT_CSV)
-    c = np.frombuffer(csv, dtype=np.uint8)
-    dots, exponents = np.flatnonzero(c == _DOT), np.flatnonzero(c == _E)
-    if not (
-        len(bounds) == 2 * lines * (3 + dtype["values"].shape[0])
-        and (b[starts - 1] == _COLON).all()
-        and _ENDS_VALUE[b[ends + 1]].all()
-        and (ends - starts < _MAX_TOKEN).all()
-        # a minus sign leads a token or its exponent, a plus sign only the
-        # exponent, and every token has a digit first
-        and csv.count(b"-") == negative.sum() + csv.count(b"E-")
-        and csv.count(b"+") == csv.count(b"E+")
-        and _IS_DIGIT[b[first]].all()
-        # no leading zero, and no negative zero without a fraction
-        and not (zero & (_IS_DIGIT[b[first + 1]] | negative & (b[first + 1] != _DOT))).any()
-        # a dot has a digit on both sides, and a digit follows an exponent or
-        # its sign (so no byte but a digit can precede an exponent)
-        and (_IS_DIGIT[c[dots - 1]] & _IS_DIGIT[c[dots + 1]]).all()
-        and _IS_DIGIT[c[exponents + 1 + _IS_SIGN[c[exponents + 1]]]].all()
-    ):
-        return None
-    try:
-        return np.loadtxt(io.StringIO(csv.decode("ascii")), dtype, delimiter=",",
-                          comments=None, ndmin=1)
-    except (ValueError, OverflowError):
-        return None
+# The writer's tokens, in a pattern of possessive quantifiers and atomic
+# groups, which never backtrack: int64 ids, and floats as float.__repr__ writes
+# them, with no leading zero, no -0 without a fraction (float(-0) is 0.0,
+# np.loadtxt reads -0.0), an exponent only as e-05 or e+16 and at most 16
+# integer digits (float() refuses a 400-digit integer; np.loadtxt reads inf)
+_ID = rb"-?+(?:0|[1-9][0-9]{0,18}+)"
+_NUMBER = rb"(?>-?[1-9][0-9]{0,15}+|-0(?=\.)|0)(?:\.[0-9]++)?+(?:e[-+][0-9]++)?+"
+# the bytes of the CSV that np.loadtxt parses: numbers, commas and line ends
+_CSV = b"0123456789.-+E,\n"
+_NOT_CSV = bytes(sorted(set(range(256)) - set(_CSV)))
 
 
 def _read_bulk(path: str | Path, schema: FeatureSchema) -> tuple | None:
     """``read_jsonl``'s columns from a log in exactly ``write_jsonl``'s layout, or None.
 
-    Integer ids and number values only: the file is read in binary one block
-    of lines at a time, and each block is checked and parsed by
-    ``_bulk_block``. None for any other file, and for a schema name whose
-    JSON form holds a number byte, a colon or a comma.
+    The file is read in binary one block of lines at a time. A block is taken
+    only when it matches the writer's line, with integer ids and the writer's
+    own number tokens, once per line; its keys are then deleted and
+    ``np.loadtxt`` parses the rest as CSV, where an id past int64 raises.
+    None for any other file, and for a schema name whose JSON form holds a
+    CSV byte, which deleting the keys would leave in the CSV.
     """
-    # a name with a number byte cannot match a skeleton; one with a colon or a
-    # comma could make a key look like a value, or add a CSV column
-    if any(set(_encode(n)) & set(":,") for n in schema.names):
+    if any(set(_encode(n).encode()) & set(_CSV) for n in schema.names):
         return None
-    layouts = []  # (line skeleton, structured dtype) without and with the oracle columns
+    layouts = []  # (pattern of a block, structured dtype) without and with the oracle columns
     for oracle in ([], list(_ORACLE)):
         n_values = 3 + schema.arity + len(oracle)
-        # _encode escapes every non-ASCII character
-        skeleton = (_row_format(schema.names, oracle) % (("",) * (3 + n_values))).encode("ascii")
-        layouts.append((skeleton, np.dtype([("ids", np.int64, (3,)),
-                                            ("values", np.float64, (n_values,))])))
+        # _encode escapes every control and non-ASCII character, so the
+        # markers \0 (an id) and \1 (a number) appear only as values
+        line = _row_format(schema.names, oracle) % (("\0",) * 3 + ("\1",) * n_values)
+        line = re.escape(line.encode("ascii")).replace(b"\0", _ID).replace(b"\1", _NUMBER)
+        layouts.append((re.compile(b"(?:%s)++" % line),
+                        np.dtype([("ids", np.int64, (3,)), ("values", np.float64, (n_values,))])))
     blocks = []
     with open(path, "rb") as fh:
         while block := b"".join(islice(fh, _BLOCK_ROWS)):
             if not blocks:
                 # the oracle columns are on every line or on none: the first says which
-                skeleton, dtype = layouts[b'"inflation":' in block[:block.find(b"\n")]]
-            parsed = _bulk_block(block, skeleton, dtype)
-            if parsed is None:
+                lines, dtype = layouts[b'"inflation":' in block[:block.find(b"\n")]]
+            if not lines.fullmatch(block):
                 return None
-            blocks.append(parsed)
+            # no name holds a - or a +, so these pairs are exponents, which the CSV keeps as E
+            if b"e-" in block or b"e+" in block:
+                block = block.replace(b"e-", b"E-").replace(b"e+", b"E+")
+            try:
+                blocks.append(np.loadtxt(io.StringIO(block.translate(None, _NOT_CSV).decode()),
+                                         dtype, delimiter=",", comments=None, ndmin=1))
+            except (ValueError, OverflowError):
+                return None
     if not blocks:
         return None
     ids = np.concatenate([b["ids"] for b in blocks])

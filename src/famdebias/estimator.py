@@ -234,7 +234,7 @@ class RegressorModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "RegressorModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(json.loads(Path(path).read_bytes()))
 
 
 def _forward_pass(

@@ -450,7 +450,7 @@ def evaluate_results(
 
 
 def _write_table(path: Path, header: list[str], rows) -> Path:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

@@ -489,6 +489,13 @@ class TestReadErrors:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: {field}: expected a number")):
             read_jsonl(path, SCHEMA)
 
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        lines = [good_line().encode()] * 3 + [good_line(item_id="x").encode().replace(b"x", b"\xff")]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: 'utf-8' codec")):
+            read_jsonl(path, SCHEMA)
+
     def test_ids_keep_any_json_type(self, tmp_path):
         rows = [good_line(user_id=True, item_id="2.5", creator_id=1.5)]
         back = read_jsonl(write_lines(tmp_path / "log.jsonl", rows), SCHEMA)
@@ -552,11 +559,11 @@ finite_floats = st.one_of(
 
 @st.composite
 def writer_log(draw, min_rows=0):
-    """Logs the bulk path takes: int64 ids, finite floats, names without number bytes."""
+    """Logs the bulk path takes: int64 ids, finite floats, names without CSV bytes."""
     n = draw(st.sampled_from([1, 2, 7, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
     n = max(n, min_rows)
     arity = draw(st.integers(1, 3))
-    names = tuple(draw(st.lists(st.text("abz_%\"\\ \n\uabcd", min_size=1, max_size=4),
+    names = tuple(draw(st.lists(st.text("abz_%\"\\ \n\uabcd:{}[]", min_size=1, max_size=4),
                                 min_size=arity, max_size=arity, unique=True)))
     schema = FeatureSchema(names, ("count",) * arity, ("increasing-with-familiarity",) * arity)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -641,6 +648,7 @@ class TestBulkRead:
     @pytest.mark.parametrize("field, token", [
         *(("urps", t) for t in ["+2.0", "02.0", "2.", ".5", "1.2.3", "2.0 ", "1" * 33]),
         ("watch_time", "-0"),  # float(-0) is 0.0; np.loadtxt reads -0.0
+        ("user_id", str(2**63)),  # past int64, which np.loadtxt refuses
     ])
     def test_a_bad_block_after_good_ones_reads_the_file_from_the_start(self, tmp_path, field,
                                                                        token):
@@ -648,7 +656,8 @@ class TestBulkRead:
         path = tmp_path / "log.jsonl"
         write_jsonl(log, path)
         lines = path.read_bytes().splitlines(keepends=True)
-        good = {"urps": b'"urps":2.0', "watch_time": b'"watch_time":10.0'}[field]
+        good = {"urps": b'"urps":2.0', "watch_time": b'"watch_time":10.0',
+                "user_id": b'"user_id":%d' % (BLOCK + 4)}[field]
         lines[BLOCK + 4] = lines[BLOCK + 4].replace(good, f'"{field}":{token}'.encode())
         path.write_bytes(b"".join(lines))
         assert core._read_bulk(path, SCHEMA) is None
@@ -671,8 +680,9 @@ class TestBulkRead:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: invalid JSON")):
             read_jsonl(path, SCHEMA)
 
-    def test_a_name_with_a_colon_takes_the_per_line_reader(self, tmp_path):
-        # a number inside the name "x:}" would follow a colon and end at a brace
+    def test_a_value_moved_inside_a_name_is_refused(self, tmp_path):
+        # the name "x:}" takes the bulk path; a number moved inside it leaves a name the
+        # schema does not have
         schema = FeatureSchema(("x:}",), ("count",), ("increasing-with-familiarity",))
         path = tmp_path / "log.jsonl"
         write_jsonl(InteractionLog(schema, [1], [2], [3], [1.0], [1.0], [1.0], [[5.0]]), path)
@@ -683,7 +693,8 @@ class TestBulkRead:
 
     @pytest.mark.parametrize("token", ["2.", ".5", "-.5", "02", "-02", "+2", "-", "--2", "2-1",
                                        "", "2..5", "-0", "1" * 33, "2e5", "2E", "2E+", "E5",
-                                       "2.E5", "2E+-5", "2+5", "2e-+5"])
+                                       "2.E5", "2E+-5", "2+5", "2e-+5", "2E5", "1E-05",
+                                       "1.5E+16", "12345678901234567.0"])
     def test_bad_tokens_never_reach_the_csv_parser(self, tmp_path, monkeypatch, token):
         path = tmp_path / "log.jsonl"
         write_jsonl(make_log([{"user": 1, "item": 2, "creator": 3}] * 3), path)

@@ -3,12 +3,15 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from famdebias import harness, simulator
 from famdebias.cli import main
+from famdebias.core import FeatureSchema
 from famdebias.harness import (
     ConfigError,
     ExperimentConfig,
@@ -510,6 +513,18 @@ class TestCli:
                      "--out", str(tmp_path / "fit")]) == 2
         assert "control.jsonl: line 5:" in capsys.readouterr().err
 
+    def test_invalid_utf8_in_a_log_exits_2_naming_the_line(self, quick_config, quick_run,
+                                                          tmp_path, capsys):
+        _, outdir = quick_run
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(quick_config))
+        good = (outdir / "logs" / "control.jsonl").read_bytes().splitlines(keepends=True)
+        log = tmp_path / "control.jsonl"
+        log.write_bytes(b"".join(good[:3]) + good[3][:20] + b"\xff" + good[3][20:])
+        assert main(["fit", "--config", str(cfg_path), "--log", str(log),
+                     "--out", str(tmp_path / "fit")]) == 2
+        assert f"{log}: line 4: 'utf-8' codec" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_debias_with_another_schema_exits_2(self, quick_run, tmp_path, capsys, mode):
         _, outdir = quick_run
@@ -540,6 +555,71 @@ class TestCli:
                      "--in", str(slate), "--out", str(out_path)]) == 2
         assert f"slate.jsonl: line 2:" in capsys.readouterr().err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("value", ["2.5", True, None])
+    @pytest.mark.parametrize("field", ["urps", "item_watch_count", "freshness"])
+    def test_non_number_in_a_slate_exits_2_naming_the_line(self, quick_run, tmp_path, capsys,
+                                                           field, value):
+        _, outdir = quick_run
+        good = (Path(__file__).resolve().parent.parent / "docs" / "example_slate.jsonl")
+        lines = good.read_text().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        where = {"urps": row, "item_watch_count": row["familiarity"],
+                 "freshness": row["quality_signals"]}[field]
+        where[field] = value
+        slate = tmp_path / "slate.jsonl"
+        slate.write_text(lines[0] + json.dumps(row) + "\n" + "".join(lines[2:]))
+        out_path = tmp_path / "ranked.jsonl"
+        assert main(["debias", "--mode", "discrete",
+                     "--table", str(outdir / "artifacts" / "table.json"),
+                     "--in", str(slate), "--out", str(out_path)]) == 2
+        assert f"slate.jsonl: line 2: {field}: expected a number" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_json_inputs_are_utf8_whatever_the_locale(self, quick_config, quick_run, tmp_path):
+        _, outdir = quick_run
+        # an arm (its name only, in the config) and a feature renamed
+        arm, feature = ('"log_pop"', '"log_pop_é"'), ("item_watch_count", "item_watch_é")
+
+        def write_raw(name, text, rename):
+            # raw UTF-8, as a hand-edited file may hold; the writers escape it
+            (tmp_path / name).write_bytes(text.replace(*rename).encode())
+            return str(tmp_path / name)
+
+        arts, docs = outdir / "artifacts", Path(__file__).resolve().parent.parent / "docs"
+        schema = write_raw("schema.json", (arts / "schema.json").read_text(), feature)
+        table = json.loads((arts / "table.json").read_text())
+        table["schema_digest"] = FeatureSchema.load(schema).digest()
+        files = {name.partition(".")[0]: write_raw(name, text, rename) for name, text, rename in [
+            ("config.json", json.dumps(quick_config), [f'"name": {a}' for a in arm]),
+            ("report.json", (outdir / "report.json").read_text(), arm),
+            ("table.json", json.dumps(table), feature),
+            ("model.json", (arts / "model.json").read_text(), feature),
+            ("slate.jsonl", (docs / "example_slate.jsonl").read_text(), feature),
+        ]}
+        ranked = ["--schema", schema, "--in", files["slate"], "--out"]
+        commands = [
+            ["simulate", "--config", files["config"], "--out", str(tmp_path / "sim"),
+             "--arms", "control"],
+            ["report", "--report", files["report"], "--out", str(tmp_path / "rep")],
+            ["debias", "--mode", "discrete", "--table", files["table"], *ranked,
+             str(tmp_path / "d.jsonl")],
+            ["debias", "--mode", "continuous", "--model", files["model"], *ranked,
+             str(tmp_path / "c.jsonl")],
+        ]
+        script = ("import json, sys; from famdebias.cli import main; "
+                  "print(*[main(args) for args in json.loads(sys.argv[1])])")
+        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONPATH": str(Path(harness.__file__).parent.parent)}
+        env.pop("PYTHONUTF8", None)
+        done = subprocess.run([sys.executable, "-X", "utf8=0", "-c", script,
+                               json.dumps(commands)], env=env, capture_output=True, text=True,
+                              encoding="utf-8")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-4:] == ["0"] * 4, done.stderr
+        assert "log_pop_é" in (tmp_path / "rep" / "table1.csv").read_text(encoding="utf-8")
+        assert feature[1] in json.loads((tmp_path / "d.jsonl").read_bytes().splitlines()[0])[
+            "familiarity"]
 
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck", "--seed", "3"]) == 0
