@@ -491,8 +491,8 @@ class TestReadErrors:
 
     def test_invalid_utf8_names_its_line(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        lines = [good_line().encode()] * 3 + [good_line(item_id="x").encode().replace(b"x", b"\xff")]
-        path.write_bytes(b"\n".join(lines) + b"\n")
+        lines = [good_line()] * 3 + [good_line(item_id="x")]
+        path.write_bytes("\n".join(lines).encode().replace(b'"x"', b'"\xff"') + b"\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: 'utf-8' codec")):
             read_jsonl(path, SCHEMA)
 
